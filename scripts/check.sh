@@ -27,9 +27,12 @@
 # tight rate limit and assert 429s carry Retry-After and the uniform error
 # envelope, drive the SLO into burn and assert responses degrade
 # (X-Agua-Degraded) while the burn hook fires, check the /statusz overload
-# section, then let the flood stop and assert recovery.
+# section, then let the flood stop and assert recovery. `bench` runs the
+# repository benchmark's own test (perfbench/test_perfbench.py): every
+# workload once at 2 s in both trace modes plus the repeatability checks;
+# `python3 perfbench/run.py` is the benchmark itself.
 #
-#   scripts/check.sh [default|asan|tsan|obs|serve|trace|faults|overload|docs] [-j N]
+#   scripts/check.sh [default|asan|tsan|obs|serve|trace|faults|overload|docs|bench] [-j N]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -46,11 +49,18 @@ while [ $# -gt 0 ]; do
     faults) mode="faults" ;;
     overload) mode="overload" ;;
     docs) mode="docs" ;;
+    bench) mode="bench" ;;
     -j) jobs="$2"; shift ;;
-    *) echo "usage: $0 [default|asan|tsan|obs|serve|trace|faults|overload|docs] [-j N]" >&2; exit 2 ;;
+    *) echo "usage: $0 [default|asan|tsan|obs|serve|trace|faults|overload|docs|bench] [-j N]" >&2; exit 2 ;;
   esac
   shift
 done
+
+if [ "$mode" = "bench" ]; then
+  # The benchmark builds its own tree (.bench_build/perfbench) from src/.
+  python3 perfbench/test_perfbench.py
+  exit 0
+fi
 
 if [ "$mode" = "obs" ]; then
   # Observability smoke: tiny training run with the flight recorder armed and

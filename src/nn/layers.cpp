@@ -3,6 +3,13 @@
 #include <cmath>
 
 namespace agua::nn {
+namespace {
+
+bool same_shape(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols();
+}
+
+}  // namespace
 
 Linear::Linear(std::size_t in_features, std::size_t out_features, common::Rng& rng)
     : weight_(Matrix(in_features, out_features)), bias_(Matrix(1, out_features)) {
@@ -28,8 +35,14 @@ void Linear::save(common::BinaryWriter& w) const {
 }
 
 void Linear::load(common::BinaryReader& r) {
-  weight_ = Parameter(Matrix::load(r));
-  bias_ = Parameter(Matrix::load(r));
+  Matrix weight = Matrix::load(r);
+  Matrix bias = Matrix::load(r);
+  if (!same_shape(weight, weight_.value) || !same_shape(bias, bias_.value)) {
+    r.stream().setstate(std::ios::failbit);
+    return;
+  }
+  weight_ = Parameter(std::move(weight));
+  bias_ = Parameter(std::move(bias));
 }
 
 Matrix ReLU::forward(const Matrix& input) {
@@ -127,9 +140,16 @@ void LayerNorm::save(common::BinaryWriter& w) const {
 }
 
 void LayerNorm::load(common::BinaryReader& r) {
-  gamma_ = Parameter(Matrix::load(r));
-  beta_ = Parameter(Matrix::load(r));
-  epsilon_ = r.read_double();
+  Matrix gamma = Matrix::load(r);
+  Matrix beta = Matrix::load(r);
+  const double epsilon = r.read_double();
+  if (!same_shape(gamma, gamma_.value) || !same_shape(beta, beta_.value)) {
+    r.stream().setstate(std::ios::failbit);
+    return;
+  }
+  gamma_ = Parameter(std::move(gamma));
+  beta_ = Parameter(std::move(beta));
+  epsilon_ = epsilon;
 }
 
 Sequential& Sequential::add(std::unique_ptr<Module> layer) {
@@ -166,14 +186,16 @@ void Sequential::save(common::BinaryWriter& w) const {
 }
 
 void Sequential::load(common::BinaryReader& r) {
-  const std::uint64_t count = r.read_u64();
-  if (count != layers_.size()) {
-    // Architecture must be constructed before loading; mismatch is corruption.
+  // The architecture is built before loading; a mismatch is corruption.
+  if (r.read_u64() != layers_.size()) {
+    r.stream().setstate(std::ios::failbit);
     return;
   }
   for (auto& layer : layers_) {
-    const std::string name = r.read_string();
-    if (name != layer->name()) return;
+    if (r.read_string() != layer->name()) {
+      r.stream().setstate(std::ios::failbit);
+      return;
+    }
     layer->load(r);
   }
 }

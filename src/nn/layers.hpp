@@ -38,6 +38,9 @@ class Module {
   virtual std::vector<Parameter*> parameters() { return {}; }
 
   virtual void save(common::BinaryWriter& w) const = 0;
+  /// Reads what save() wrote into this already built module. Weights whose
+  /// shapes differ from the built ones, or a layer count or name that does
+  /// not match, set the reader's failbit.
   virtual void load(common::BinaryReader& r) = 0;
   virtual std::string name() const = 0;
 

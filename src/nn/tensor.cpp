@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace agua::nn {
@@ -51,50 +52,98 @@ Matrix Matrix::slice_rows(std::size_t begin, std::size_t end) const {
   return out;
 }
 
+// The three products below are register-blocked: each output element is
+// still the sum of its products in ascending inner index, starting from
+// +0.0, so the results are bitwise identical to the plain scalar loops (kept
+// as the reference in tests/test_tensor.cpp). Blocking only decides how many
+// independent output sums are in flight at once (DESIGN.md §7, rule 4).
+namespace {
+
+/// o[0..W) = the sums over ascending k < inner of a[k * lda] * b[k * ldb + j],
+/// skipping every k whose a-value is zero: W adjacent output columns of an
+/// i-k-j product. The unroll pragma lets GCC keep the W sums in SIMD
+/// registers; without it -O2 keeps them in a stack array.
+template <std::size_t W>
+void skip_zero_block(const double* a, std::size_t lda, const double* b, std::size_t ldb,
+                     std::size_t inner, double* o) {
+  double acc[W] = {};
+  for (std::size_t k = 0; k < inner; ++k) {
+    const double ak = a[k * lda];
+    if (ak == 0.0) continue;
+    const double* bk = b + k * ldb;
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < W; ++j) acc[j] += ak * bk[j];
+  }
+  for (std::size_t j = 0; j < W; ++j) o[j] = acc[j];
+}
+
+/// Output columns [j, n) of one i-k-j row: W-wide blocks while they fit,
+/// then the rest in halving widths.
+template <std::size_t W>
+void skip_zero_row(const double* a, std::size_t lda, const double* b, std::size_t ldb,
+                   std::size_t inner, std::size_t j, std::size_t n, double* o) {
+  for (; j + W <= n; j += W) skip_zero_block<W>(a, lda, b + j, ldb, inner, o + j);
+  if constexpr (W > 1) skip_zero_row<W / 2>(a, lda, b, ldb, inner, j, n, o);
+}
+
+}  // namespace
+
 Matrix Matrix::matmul(const Matrix& other) const {
   if (cols_ != other.rows_) throw std::invalid_argument("matmul: shape mismatch");
   Matrix out(rows_, other.cols_);
+  if (cols_ == 0) return out;  // every sum is empty: the +0.0 fill
   for (std::size_t i = 0; i < rows_; ++i) {
-    const double* a = row_data(i);
-    double* o = out.row_data(i);
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = a[k];
-      if (aik == 0.0) continue;
-      const double* b = other.row_data(k);
-      for (std::size_t j = 0; j < other.cols_; ++j) o[j] += aik * b[j];
-    }
+    skip_zero_row<16>(row_data(i), 1, other.data_.data(), other.cols_, cols_, 0, other.cols_,
+                      out.row_data(i));
   }
   return out;
 }
 
 Matrix Matrix::transpose_matmul(const Matrix& other) const {
   // (this^T * other): this is (m x n), other is (m x p) -> result (n x p).
+  // Output row k sums over the m rows, reading column k of this.
   if (rows_ != other.rows_) throw std::invalid_argument("transpose_matmul: shape mismatch");
   Matrix out(cols_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    const double* a = row_data(i);
-    const double* b = other.row_data(i);
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double aik = a[k];
-      if (aik == 0.0) continue;
-      double* o = out.row_data(k);
-      for (std::size_t j = 0; j < other.cols_; ++j) o[j] += aik * b[j];
-    }
+  if (rows_ == 0) return out;  // every sum is empty: the +0.0 fill
+  for (std::size_t k = 0; k < cols_; ++k) {
+    skip_zero_row<16>(data_.data() + k, cols_, other.data_.data(), other.cols_, rows_, 0,
+                      other.cols_, out.row_data(k));
   }
   return out;
 }
 
 Matrix Matrix::matmul_transpose(const Matrix& other) const {
   // (this * other^T): this is (m x n), other is (p x n) -> result (m x p).
+  // Four dot products run as independent chains; there is no zero skip.
   if (cols_ != other.cols_) throw std::invalid_argument("matmul_transpose: shape mismatch");
   Matrix out(rows_, other.rows_);
+  const std::size_t n = cols_;
+  const std::size_t p = other.rows_;
   for (std::size_t i = 0; i < rows_; ++i) {
     const double* a = row_data(i);
     double* o = out.row_data(i);
-    for (std::size_t j = 0; j < other.rows_; ++j) {
+    std::size_t j = 0;
+    for (; j + 4 <= p; j += 4) {
+      const double* b0 = other.row_data(j);
+      const double* b1 = b0 + n;
+      const double* b2 = b1 + n;
+      const double* b3 = b2 + n;
+      double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        acc0 += a[k] * b0[k];
+        acc1 += a[k] * b1[k];
+        acc2 += a[k] * b2[k];
+        acc3 += a[k] * b3[k];
+      }
+      o[j] = acc0;
+      o[j + 1] = acc1;
+      o[j + 2] = acc2;
+      o[j + 3] = acc3;
+    }
+    for (; j < p; ++j) {
       const double* b = other.row_data(j);
       double acc = 0.0;
-      for (std::size_t k = 0; k < cols_; ++k) acc += a[k] * b[k];
+      for (std::size_t k = 0; k < n; ++k) acc += a[k] * b[k];
       o[j] = acc;
     }
   }
@@ -189,7 +238,10 @@ Matrix Matrix::load(common::BinaryReader& r) {
   m.rows_ = r.read_u64();
   m.cols_ = r.read_u64();
   m.data_ = r.read_doubles();
-  if (m.data_.size() != m.rows_ * m.cols_) {
+  // A rows * cols that wraps could match a short data array.
+  const bool overflows = m.cols_ != 0 && m.rows_ > SIZE_MAX / m.cols_;
+  if (overflows || m.data_.size() != m.rows_ * m.cols_) {
+    r.stream().setstate(std::ios::failbit);
     m = Matrix();
   }
   return m;

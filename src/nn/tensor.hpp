@@ -1,8 +1,9 @@
 // Dense row-major matrix used as the tensor type of the nn substrate.
 //
 // The networks in this reproduction are small 2-layer MLPs, so a simple
-// double-precision matrix with cache-friendly row-major loops is enough to
-// train every controller and surrogate in seconds.
+// double-precision row-major matrix is enough to train every controller and
+// surrogate in seconds. Its three products are register-blocked yet bitwise
+// identical to plain scalar loops (DESIGN.md §7, rule 4).
 #pragma once
 
 #include <cstddef>
@@ -52,13 +53,16 @@ class Matrix {
   /// Copy of the contiguous row range [begin, end).
   Matrix slice_rows(std::size_t begin, std::size_t end) const;
 
-  /// Matrix product this(rows x cols) * other(cols x n).
+  /// Matrix product this(rows x cols) * other(cols x n). Each output is the
+  /// sum over ascending k from +0.0, skipping every k where this is zero.
   Matrix matmul(const Matrix& other) const;
 
-  /// this^T * other, without materializing the transpose.
+  /// this^T * other, without materializing the transpose; sums and zero
+  /// skip as in matmul.
   Matrix transpose_matmul(const Matrix& other) const;
 
-  /// this * other^T, without materializing the transpose.
+  /// this * other^T, without materializing the transpose. Each output is the
+  /// sum over ascending k from +0.0, with no zero skip.
   Matrix matmul_transpose(const Matrix& other) const;
 
   Matrix transposed() const;
@@ -86,6 +90,9 @@ class Matrix {
   void xavier_init(common::Rng& rng);
 
   void save(common::BinaryWriter& w) const;
+  /// Reads what save() wrote. A shape whose element count overflows or
+  /// disagrees with the data sets the reader's failbit and returns an empty
+  /// matrix.
   static Matrix load(common::BinaryReader& r);
 
  private:

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
+
+#include "nn/layers.hpp"
 
 namespace {
 
@@ -148,6 +152,117 @@ TEST(ModelIo, TrailingSingleByteRejected) {
   const LoadModelResult result = load_from_bytes(bytes);
   EXPECT_FALSE(result);
   EXPECT_EQ(result.error.code, LoadErrorCode::kTrailingGarbage);
+}
+
+// `archive` with section `id`'s payload replaced. The CRCs are recomputed, so
+// only the loader's structural checks stand between the payload and a model.
+std::string with_section(const std::string& archive, std::uint32_t id,
+                         const std::string& payload) {
+  std::istringstream in(archive);
+  common::BinaryReader r(in);
+  std::ostringstream out;
+  common::BinaryWriter w(out);
+  w.write_u32(r.read_u32());  // magic
+  w.write_u32(r.read_u32());  // version
+  for (std::uint32_t section = 1; section <= 3; ++section) {
+    std::string body;
+    EXPECT_EQ(common::read_section(r, section, body), common::SectionStatus::kOk);
+    common::write_section(w, section, section == id ? payload : body);
+  }
+  return out.str();
+}
+
+constexpr std::uint32_t kConceptMappingSection = 2;
+constexpr std::uint32_t kOutputMappingSection = 3;
+
+std::string model_archive() {
+  AguaModel model = make_model(9);
+  return serialize_model(model);
+}
+
+/// A concept-mapping payload for make_model's config (H = 6, C*k = 24,
+/// hidden 64) around the given net.
+std::string concept_mapping_payload(const nn::Sequential& net) {
+  std::ostringstream os;
+  common::BinaryWriter w(os);
+  for (std::uint64_t dim : {6, 8, 3, 64}) w.write_u64(dim);
+  net.save(w);
+  return os.str();
+}
+
+/// An output-mapping payload for make_model's config (24 -> 4) whose
+/// weight and bias are written by `write_weights`.
+template <typename WriteWeights>
+std::string output_mapping_payload(WriteWeights&& write_weights) {
+  std::ostringstream os;
+  common::BinaryWriter w(os);
+  w.write_u64(24);
+  w.write_u64(4);
+  w.write_double(0.95);
+  write_weights(w);
+  return os.str();
+}
+
+void expect_structural(const std::string& archive) {
+  const LoadModelResult result = load_from_bytes(archive);
+  ASSERT_FALSE(result);
+  EXPECT_EQ(result.error.code, LoadErrorCode::kStructural) << result.error.detail;
+}
+
+TEST(ModelIo, RebuiltSectionsStillLoad) {
+  const std::string bytes = model_archive();
+  common::Rng rng(9);
+  const auto net = nn::make_concept_mapping_net(6, 64, 24, rng);
+  EXPECT_TRUE(load_from_bytes(with_section(bytes, kConceptMappingSection,
+                                           concept_mapping_payload(*net))));
+  EXPECT_TRUE(load_from_bytes(
+      with_section(bytes, kOutputMappingSection, output_mapping_payload([](auto& w) {
+                     nn::Matrix(24, 4).save(w);
+                     nn::Matrix(1, 4).save(w);
+                   }))));
+}
+
+// Regression: a CRC-valid archive whose LayerNorm gamma was 1x1 loaded as OK
+// and its first forward read past the end of gamma.
+TEST(ModelIo, RejectsLayerNormGammaOfWrongShape) {
+  common::Rng rng(9);
+  nn::Sequential net;
+  net.add(std::make_unique<nn::Linear>(6, 64, rng));
+  net.add(std::make_unique<nn::ReLU>());
+  net.add(std::make_unique<nn::LayerNorm>(1));
+  net.add(std::make_unique<nn::Linear>(64, 24, rng));
+  expect_structural(
+      with_section(model_archive(), kConceptMappingSection, concept_mapping_payload(net)));
+}
+
+TEST(ModelIo, RejectsBiasOfWrongWidth) {
+  expect_structural(with_section(model_archive(), kOutputMappingSection,
+                                 output_mapping_payload([](auto& w) {
+                                   nn::Matrix(24, 4).save(w);
+                                   nn::Matrix(1, 3).save(w);
+                                 })));
+}
+
+TEST(ModelIo, RejectsWrongLayerName) {
+  common::Rng rng(9);
+  nn::Sequential net;
+  net.add(std::make_unique<nn::Linear>(6, 64, rng));
+  net.add(std::make_unique<nn::ReLU>());
+  net.add(std::make_unique<nn::Tanh>());  // where LayerNorm belongs
+  net.add(std::make_unique<nn::Linear>(64, 24, rng));
+  expect_structural(
+      with_section(model_archive(), kConceptMappingSection, concept_mapping_payload(net)));
+}
+
+// rows * cols = 2^64 wraps to 0, which an empty data array would match.
+TEST(ModelIo, RejectsOverflowingMatrixShape) {
+  expect_structural(with_section(model_archive(), kOutputMappingSection,
+                                 output_mapping_payload([](auto& w) {
+                                   w.write_u64(std::uint64_t{1} << 33);
+                                   w.write_u64(std::uint64_t{1} << 31);
+                                   w.write_doubles({});
+                                   nn::Matrix(1, 4).save(w);
+                                 })));
 }
 
 // Fuzz-style corruption sweep: load_model must never crash and must return a

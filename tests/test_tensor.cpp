@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -70,6 +73,155 @@ TEST(Tensor, MatmulTransposeMatchesExplicit) {
   }
 }
 
+// The scalar loops the blocked kernels replaced, kept as the bitwise
+// reference: every output starts from +0.0 and adds its products in
+// ascending inner index; the two i-k-j products skip a zero left factor.
+Matrix reference_matmul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < a.cols(); ++k) {
+        if (a.at(i, k) == 0.0) continue;
+        acc += a.at(i, k) * b.at(k, j);
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+Matrix reference_transpose_matmul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.cols(), b.cols());
+  for (std::size_t i = 0; i < a.cols(); ++i) {
+    for (std::size_t j = 0; j < b.cols(); ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < a.rows(); ++k) {
+        if (a.at(k, i) == 0.0) continue;
+        acc += a.at(k, i) * b.at(k, j);
+      }
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+Matrix reference_matmul_transpose(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.rows());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < a.cols(); ++k) acc += a.at(i, k) * b.at(j, k);
+      out.at(i, j) = acc;
+    }
+  }
+  return out;
+}
+
+// Shapes that reach full blocks and every tail width: the i-k-j kernels run
+// 16-wide blocks, then one block each of 8, 4, 2 and 1 as the columns left
+// allow (31 = 16 + 8 + 4 + 2 + 1); matmul_transpose runs 4-wide blocks.
+constexpr std::size_t kRows[] = {1, 16, 17};
+constexpr std::size_t kInner[] = {1, 48, 96};
+constexpr std::size_t kCols[] = {1, 5, 7, 8, 9, 31, 96, 112};
+
+/// Inner indices where the left factor is zero throughout.
+bool dead_inner(std::size_t k) { return k % 5 == 2; }
+
+/// Left factor entry at inner index k and flat position n: exact +0.0 and
+/// -0.0 scattered everywhere, and nothing else at dead inner indices.
+double left_entry(std::size_t k, std::size_t n, agua::common::Rng& rng) {
+  const double x = rng.uniform(-2.0, 2.0);
+  if (dead_inner(k) || n % 7 == 3) return n % 2 == 0 ? 0.0 : -0.0;
+  return x;
+}
+
+/// Right factor entry; with `poison`, ±Inf or NaN at dead inner indices, so
+/// a product that fails to skip a zero left factor turns non-finite.
+double right_entry(std::size_t k, std::size_t n, bool poison, agua::common::Rng& rng) {
+  const double x = rng.uniform(-2.0, 2.0);
+  if (!poison || !dead_inner(k)) return x;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double values[] = {kInf, -kInf, std::numeric_limits<double>::quiet_NaN()};
+  return values[n % 3];
+}
+
+void expect_bitwise_equal(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(), got.size() * sizeof(double)), 0);
+}
+
+void expect_all_finite(const Matrix& m) {
+  for (double x : m.data()) ASSERT_TRUE(std::isfinite(x));
+}
+
+TEST(Tensor, MatmulIsBitwiseTheReferenceSum) {
+  agua::common::Rng rng(11);
+  for (std::size_t rows : kRows) {
+    for (std::size_t inner : kInner) {
+      for (std::size_t cols : kCols) {
+        SCOPED_TRACE(testing::Message() << rows << "x" << inner << " * " << inner << "x" << cols);
+        Matrix a(rows, inner);
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t k = 0; k < inner; ++k) a.at(i, k) = left_entry(k, i * inner + k, rng);
+        }
+        Matrix b(inner, cols);
+        for (std::size_t k = 0; k < inner; ++k) {
+          for (std::size_t j = 0; j < cols; ++j) b.at(k, j) = right_entry(k, k * cols + j, true, rng);
+        }
+        const Matrix got = a.matmul(b);
+        expect_bitwise_equal(got, reference_matmul(a, b));
+        expect_all_finite(got);
+      }
+    }
+  }
+}
+
+TEST(Tensor, TransposeMatmulIsBitwiseTheReferenceSum) {
+  agua::common::Rng rng(12);
+  for (std::size_t rows : kRows) {
+    for (std::size_t inner : kInner) {
+      for (std::size_t cols : kCols) {
+        SCOPED_TRACE(testing::Message() << inner << "x" << rows << "^T * " << inner << "x" << cols);
+        Matrix a(inner, rows);
+        for (std::size_t k = 0; k < inner; ++k) {
+          for (std::size_t i = 0; i < rows; ++i) a.at(k, i) = left_entry(k, k * rows + i, rng);
+        }
+        Matrix b(inner, cols);
+        for (std::size_t k = 0; k < inner; ++k) {
+          for (std::size_t j = 0; j < cols; ++j) b.at(k, j) = right_entry(k, k * cols + j, true, rng);
+        }
+        const Matrix got = a.transpose_matmul(b);
+        expect_bitwise_equal(got, reference_transpose_matmul(a, b));
+        expect_all_finite(got);
+      }
+    }
+  }
+}
+
+// matmul_transpose has no zero skip, so its right factor stays finite.
+TEST(Tensor, MatmulTransposeIsBitwiseTheReferenceSum) {
+  agua::common::Rng rng(13);
+  for (std::size_t rows : kRows) {
+    for (std::size_t inner : kInner) {
+      for (std::size_t cols : kCols) {
+        SCOPED_TRACE(testing::Message() << rows << "x" << inner << " * (" << cols << "x" << inner
+                                        << ")^T");
+        Matrix a(rows, inner);
+        for (std::size_t i = 0; i < rows; ++i) {
+          for (std::size_t k = 0; k < inner; ++k) a.at(i, k) = left_entry(k, i * inner + k, rng);
+        }
+        Matrix b(cols, inner);
+        for (std::size_t j = 0; j < cols; ++j) {
+          for (std::size_t k = 0; k < inner; ++k) b.at(j, k) = right_entry(k, j * inner + k, false, rng);
+        }
+        expect_bitwise_equal(a.matmul_transpose(b), reference_matmul_transpose(a, b));
+      }
+    }
+  }
+}
+
 TEST(Tensor, GatherRows) {
   const Matrix m = Matrix::from_rows({{1.0}, {2.0}, {3.0}});
   const Matrix g = m.gather_rows({2, 0});
@@ -134,6 +286,20 @@ TEST(Tensor, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < m.size(); ++i) {
     EXPECT_DOUBLE_EQ(loaded.data()[i], m.data()[i]);
   }
+}
+
+// rows * cols = 2^64 wraps to 0, which the empty data array would match.
+TEST(Tensor, LoadRejectsOverflowingShape) {
+  std::stringstream stream;
+  agua::common::BinaryWriter w(stream);
+  w.write_u64(std::uint64_t{1} << 33);
+  w.write_u64(std::uint64_t{1} << 31);
+  w.write_doubles({});
+  agua::common::BinaryReader r(stream);
+  const Matrix loaded = Matrix::load(r);
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(loaded.rows(), 0u);
+  EXPECT_EQ(loaded.cols(), 0u);
 }
 
 TEST(Tensor, RowSoftmaxRowsSumToOne) {
