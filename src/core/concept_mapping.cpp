@@ -20,6 +20,14 @@ namespace {
 // reproducible across any thread count (DESIGN.md §7).
 constexpr std::size_t kGradChunkRows = 16;
 
+// Counts δθ inference rows: one per embedding, wherever δθ runs. Resolved
+// once, so a forward costs one relaxed atomic increment.
+void count_forwards(std::size_t rows) {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::instance().counter("agua.surrogate.forward");
+  counter.add(rows);
+}
+
 }  // namespace
 
 ConceptMapping::ConceptMapping(Config config, common::Rng& rng) : config_(config) {
@@ -205,13 +213,15 @@ nn::Matrix ConceptMapping::block_softmax(const nn::Matrix& logits) const {
   return probs;
 }
 
-std::vector<double> ConceptMapping::concept_probs(const std::vector<double>& embedding) {
-  const nn::Matrix logits = net_->forward(nn::Matrix::row_vector(embedding));
-  return block_softmax(logits).row(0);
+std::vector<double> ConceptMapping::concept_probs(
+    const std::vector<double>& embedding) const {
+  count_forwards(1);
+  return block_softmax(net_->infer(nn::Matrix::row_vector(embedding))).row(0);
 }
 
-nn::Matrix ConceptMapping::concept_probs_batch(const nn::Matrix& embeddings) {
-  return block_softmax(net_->forward(embeddings));
+nn::Matrix ConceptMapping::concept_probs_batch(const nn::Matrix& embeddings) const {
+  count_forwards(embeddings.rows());
+  return block_softmax(net_->infer(embeddings));
 }
 
 void ConceptMapping::save(common::BinaryWriter& w) const {
@@ -229,13 +239,23 @@ ConceptMapping ConceptMapping::load(common::BinaryReader& r) {
   config.num_levels = r.read_u64();
   config.hidden_dim = r.read_u64();
   common::Rng scratch(0);  // weights are overwritten by load below
+  // The net is built from these widths before any weight is read, so an
+  // implausible one fails here instead of allocating. C and k are each
+  // capped before their product is taken, so it cannot overflow.
+  if (!nn::loadable_width(config.embedding_dim) ||
+      !nn::loadable_width(config.num_concepts) || !nn::loadable_width(config.num_levels) ||
+      !nn::loadable_width(config.hidden_dim) ||
+      !nn::loadable_width(config.num_concepts * config.num_levels)) {
+    r.stream().setstate(std::ios::failbit);
+    return ConceptMapping(Config{}, scratch);
+  }
   ConceptMapping mapping(config, scratch);
   mapping.net_->load(r);
   return mapping;
 }
 
 std::vector<std::size_t> ConceptMapping::predict_levels(
-    const std::vector<double>& embedding) {
+    const std::vector<double>& embedding) const {
   const std::vector<double> probs = concept_probs(embedding);
   std::vector<std::size_t> out(config_.num_concepts, 0);
   const std::size_t k = config_.num_levels;

@@ -53,20 +53,21 @@ class ConceptMapping {
                const std::vector<std::vector<std::size_t>>& levels, common::Rng& rng);
 
   /// δθ(h): per-(concept, level) probabilities (softmax within each concept's
-  /// k-block), flattened to C*k.
-  ///
-  /// Non-const on purpose: forward passes cache activations inside the net,
-  /// so a shared ConceptMapping must not be queried from several threads.
-  std::vector<double> concept_probs(const std::vector<double>& embedding);
-  nn::Matrix concept_probs_batch(const nn::Matrix& embeddings);
+  /// k-block), flattened to C*k. Const inference (nn::Module::infer), safe
+  /// to call from several threads at once. Every row counts once in the
+  /// `agua.surrogate.forward` counter.
+  std::vector<double> concept_probs(const std::vector<double>& embedding) const;
+  nn::Matrix concept_probs_batch(const nn::Matrix& embeddings) const;
 
   /// Per-concept predicted similarity level (argmax within each block).
-  std::vector<std::size_t> predict_levels(const std::vector<double>& embedding);
+  std::vector<std::size_t> predict_levels(const std::vector<double>& embedding) const;
 
   const Config& config() const { return config_; }
   std::size_t output_dim() const { return config_.num_concepts * config_.num_levels; }
 
   void save(common::BinaryWriter& w) const;
+  /// Reads what save() wrote. A width of 0 or above nn::kMaxLoadWidth
+  /// (C*k included) sets the reader's failbit before any layer is built.
   static ConceptMapping load(common::BinaryReader& r);
 
  private:

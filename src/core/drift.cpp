@@ -40,7 +40,7 @@ std::vector<std::size_t> tag_from_stats(const std::vector<double>& intensity,
 
 }  // namespace
 
-std::vector<double> trace_concept_intensity(AguaModel& model,
+std::vector<double> trace_concept_intensity(const AguaModel& model,
                                             const TraceEmbeddings& trace) {
   static obs::Counter& traces =
       obs::MetricsRegistry::instance().counter("agua.drift.trace_intensity");
@@ -62,19 +62,19 @@ std::vector<double> trace_concept_intensity(AguaModel& model,
   return intensity;
 }
 
-std::vector<std::size_t> trace_top_concepts(AguaModel& model,
+std::vector<std::size_t> trace_top_concepts(const AguaModel& model,
                                             const TraceEmbeddings& trace,
                                             std::size_t top_k) {
   return common::top_k_indices(trace_concept_intensity(model, trace), top_k);
 }
 
-std::vector<std::size_t> tag_trace(AguaModel& model, const TraceEmbeddings& trace,
+std::vector<std::size_t> tag_trace(const AguaModel& model, const TraceEmbeddings& trace,
                                    const DriftReport& report, std::size_t top_k) {
   return tag_from_stats(trace_concept_intensity(model, trace), report.intensity_mean,
                         report.intensity_std, top_k);
 }
 
-DriftReport detect_concept_drift(AguaModel& model,
+DriftReport detect_concept_drift(const AguaModel& model,
                                  const std::vector<TraceEmbeddings>& dataset_a,
                                  const std::vector<TraceEmbeddings>& dataset_b,
                                  std::size_t top_k) {
@@ -165,7 +165,7 @@ std::string DriftReport::format() const {
 }
 
 std::vector<std::size_t> select_retraining_traces(
-    AguaModel& model, const std::vector<TraceEmbeddings>& dataset_b,
+    const AguaModel& model, const std::vector<TraceEmbeddings>& dataset_b,
     const DriftReport& report, std::size_t top_k) {
   std::vector<std::size_t> selected;
   for (std::size_t t = 0; t < dataset_b.size(); ++t) {

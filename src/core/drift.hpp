@@ -17,11 +17,11 @@ using TraceEmbeddings = std::vector<std::vector<double>>;
 
 /// Mean expected concept intensity of a trace's states under δθ: per concept,
 /// E[level]/(k-1) averaged over the trace.
-std::vector<double> trace_concept_intensity(AguaModel& model,
+std::vector<double> trace_concept_intensity(const AguaModel& model,
                                             const TraceEmbeddings& trace);
 
 /// Top-k dominant concepts of one trace by absolute intensity.
-std::vector<std::size_t> trace_top_concepts(AguaModel& model,
+std::vector<std::size_t> trace_top_concepts(const AguaModel& model,
                                             const TraceEmbeddings& trace,
                                             std::size_t top_k);
 
@@ -45,11 +45,11 @@ struct DriftReport {
 
 /// Tag one trace with its top-k distinctive concepts under a report's
 /// intensity normalization.
-std::vector<std::size_t> tag_trace(AguaModel& model, const TraceEmbeddings& trace,
+std::vector<std::size_t> tag_trace(const AguaModel& model, const TraceEmbeddings& trace,
                                    const DriftReport& report, std::size_t top_k);
 
 /// Compare two deployments at the concept level.
-DriftReport detect_concept_drift(AguaModel& model,
+DriftReport detect_concept_drift(const AguaModel& model,
                                  const std::vector<TraceEmbeddings>& dataset_a,
                                  const std::vector<TraceEmbeddings>& dataset_b,
                                  std::size_t top_k = 3);
@@ -58,7 +58,7 @@ DriftReport detect_concept_drift(AguaModel& model,
 /// intersect the report's `increased` set — the under-represented subset to
 /// retrain on.
 std::vector<std::size_t> select_retraining_traces(
-    AguaModel& model, const std::vector<TraceEmbeddings>& dataset_b,
+    const AguaModel& model, const std::vector<TraceEmbeddings>& dataset_b,
     const DriftReport& report, std::size_t top_k = 3);
 
 }  // namespace agua::core

@@ -15,8 +15,11 @@
 namespace agua::core {
 namespace {
 
-/// Core of eq. 7-10 for one embedding and one target class.
-Explanation explain_one(AguaModel& model, const std::vector<double>& embedding,
+constexpr std::size_t kFactual = static_cast<std::size_t>(-1);
+
+/// Core of eq. 7-10 for one embedding and one target class (kFactual: the
+/// argmax of this same forward). δθ and Ω each run once.
+Explanation explain_one(const AguaModel& model, const std::vector<double>& embedding,
                         std::size_t output_class) {
   static obs::Histogram& latency =
       obs::MetricsRegistry::instance().histogram("agua.explain.single");
@@ -25,21 +28,23 @@ Explanation explain_one(AguaModel& model, const std::vector<double>& embedding,
   Explanation exp;
   const std::size_t C = model.num_concepts();
   const std::size_t k = model.num_levels();
+  const OutputMapping& omega = model.output_mapping();
   const std::vector<double> z = model.concept_probs(embedding);
-  const std::vector<double> logits = model.output_mapping().logits(z);
+  const std::vector<double> logits = omega.logits(z);
   const std::vector<double> probs = common::softmax(logits);
   exp.predicted_class = common::argmax(logits);
-  exp.output_class = output_class;
-  exp.output_probability = probs[output_class];
-  exp.concept_names = model.concept_set().names();
+  exp.output_class = output_class == kFactual ? exp.predicted_class : output_class;
+  exp.output_probability = probs[exp.output_class];
+  exp.concept_names = ConceptNames(model.concept_names());
 
-  // Eq. 8: Hadamard decomposition W^<i> ∘ δ(h(x)) + b_i/(C·k).
-  const std::vector<double> weights = model.output_mapping().class_weights(output_class);
+  // Eq. 8: Hadamard decomposition W^<i> ∘ δ(h(x)) + b_i/(C·k), reading
+  // class i's column of W in place.
+  const nn::Matrix& weights = omega.weights();
   const double bias_share =
-      model.output_mapping().class_bias(output_class) / static_cast<double>(C * k);
+      omega.class_bias(exp.output_class) / static_cast<double>(C * k);
   exp.raw_contributions.resize(C * k);
   for (std::size_t j = 0; j < C * k; ++j) {
-    exp.raw_contributions[j] = weights[j] * z[j] + bias_share;
+    exp.raw_contributions[j] = weights.at(j, exp.output_class) * z[j] + bias_share;
   }
   // Eq. 9/10: softmax over the contribution vector, scaled by the output
   // probability, then aggregated per concept over its k levels. The
@@ -99,23 +104,22 @@ std::string Explanation::format(std::size_t top_k) const {
   return os.str();
 }
 
-Explanation explain_factual(AguaModel& model, const std::vector<double>& embedding) {
-  const std::size_t chosen = model.predict_class(embedding);
-  return explain_one(model, embedding, chosen);
+Explanation explain_factual(const AguaModel& model, const std::vector<double>& embedding) {
+  return explain_one(model, embedding, kFactual);
 }
 
-Explanation explain_for_class(AguaModel& model, const std::vector<double>& embedding,
+Explanation explain_for_class(const AguaModel& model, const std::vector<double>& embedding,
                               std::size_t output_class) {
   return explain_one(model, embedding, output_class);
 }
 
-Explanation explain_batched(AguaModel& model,
+Explanation explain_batched(const AguaModel& model,
                             const std::vector<std::vector<double>>& embeddings,
                             std::size_t output_class) {
   return explain_batched_isolated(model, embeddings, output_class).aggregate;
 }
 
-EachExplainResult explain_each_isolated(AguaModel& model,
+EachExplainResult explain_each_isolated(const AguaModel& model,
                                         const std::vector<std::vector<double>>& embeddings,
                                         const std::vector<std::size_t>& output_classes) {
   EachExplainResult result;
@@ -126,20 +130,18 @@ EachExplainResult explain_each_isolated(AguaModel& model,
   obs::TraceSpan span("agua.explain.batch");
   obs::MetricsRegistry::instance().counter("agua.explain.batch.samples")
       .add(embeddings.size());
-  constexpr std::size_t kFactual = static_cast<std::size_t>(-1);
 
   // Fan the per-input explanations out across the pool. Each explanation
-  // depends only on the (identical) weights of the model clone that computed
-  // it, and callers walk the slots in index order, so both the per-slot
-  // results and any aggregate over them are bitwise identical for any pool
-  // size.
+  // depends only on the (identical) weights of the model that computed it,
+  // and callers walk the slots in index order, so both the per-slot results
+  // and any aggregate over them are bitwise identical for any pool size.
   //
   // Isolation (§8): each slot validates its input and catches its own
   // exceptions *inside* the worker — a poisoned embedding or a throwing
   // explanation marks one slot failed instead of tearing down the pool.
   common::ThreadPool& pool = common::default_pool();
   std::vector<std::string> slot_error(embeddings.size());
-  auto explain_index = [&](AguaModel& m, std::size_t i) {
+  auto explain_index = [&](const AguaModel& m, std::size_t i) {
     for (double v : embeddings[i]) {
       if (!std::isfinite(v)) {
         slot_error[i] = "non-finite embedding";
@@ -162,8 +164,9 @@ EachExplainResult explain_each_isolated(AguaModel& model,
   if (pool.thread_count() <= 1 || embeddings.size() < 2) {
     for (std::size_t i = 0; i < embeddings.size(); ++i) explain_index(model, i);
   } else {
-    // Forward passes cache activations inside the model, so workers other
-    // than the caller run on clones (see AguaModel::clone).
+    // Workers other than the caller run on clones. Inference is const, so
+    // they are not needed for safety; they stay until ROADMAP item 1's
+    // harness fix lets their removal be measured (see AguaModel::clone).
     std::vector<AguaModel> clones;
     clones.reserve(pool.thread_count() - 1);
     for (std::size_t w = 1; w < pool.thread_count(); ++w) clones.push_back(model.clone());
@@ -230,7 +233,7 @@ Explanation aggregate_explanations(const EachExplainResult& each, std::size_t C,
 }
 
 BatchExplainResult explain_batched_isolated(
-    AguaModel& model, const std::vector<std::vector<double>>& embeddings,
+    const AguaModel& model, const std::vector<std::vector<double>>& embeddings,
     std::size_t output_class) {
   BatchExplainResult result;
   result.attempted = embeddings.size();

@@ -4,12 +4,29 @@
 // single-input and batched variants. No LLM is involved at explanation time.
 #pragma once
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/surrogate.hpp"
 
 namespace agua::core {
+
+/// The concept names of the model an explanation came from: a view of
+/// AguaModel::concept_names(), so an explanation copies no string. It keeps
+/// the list alive after the model itself is gone (a hot-swapped serve model).
+class ConceptNames {
+ public:
+  ConceptNames() = default;
+  explicit ConceptNames(std::shared_ptr<const std::vector<std::string>> names)
+      : names_(std::move(names)) {}
+
+  std::size_t size() const { return names_ ? names_->size() : 0; }
+  const std::string& operator[](std::size_t i) const { return (*names_)[i]; }
+
+ private:
+  std::shared_ptr<const std::vector<std::string>> names_;
+};
 
 /// A concept-based explanation for one output class.
 struct Explanation {
@@ -28,7 +45,7 @@ struct Explanation {
   /// to thirds of the level range (0 = low/absent, 1 = medium, 2 = high).
   /// Lets explanations read "absence of X" vs "X present" (Fig. 4b/6a).
   std::vector<std::size_t> dominant_levels;
-  std::vector<std::string> concept_names;
+  ConceptNames concept_names;
 
   /// Indices of the top-k concepts by normalized weight.
   std::vector<std::size_t> top_concepts(std::size_t k) const;
@@ -37,21 +54,26 @@ struct Explanation {
   std::string format(std::size_t top_k = 6) const;
 };
 
+// Every explanation runs δθ and Ω once, through the const inference path,
+// so these functions may run concurrently on one shared model.
+
 /// Factual explanation: why the surrogate's chosen class was chosen (§3.6).
-Explanation explain_factual(AguaModel& model, const std::vector<double>& embedding);
+/// The class is the argmax of the same forward the explanation decomposes.
+Explanation explain_factual(const AguaModel& model, const std::vector<double>& embedding);
 
 /// Explanation for an arbitrary class y'_i — the counterfactual query (§3.6).
-Explanation explain_for_class(AguaModel& model, const std::vector<double>& embedding,
+Explanation explain_for_class(const AguaModel& model, const std::vector<double>& embedding,
                               std::size_t output_class);
 
 /// Batched explanation: average concept contributions over a batch (§3.6).
 /// When `output_class` is npos, each input contributes its own factual class.
 ///
-/// Fans out over `common::default_pool()` with one `model.clone()` per extra
-/// worker (forward passes cache activations, so the shared model itself is
-/// never queried concurrently); per-input results aggregate in index order,
-/// so the explanation is bitwise identical for any pool size (DESIGN.md §7).
-Explanation explain_batched(AguaModel& model,
+/// Fans out over `common::default_pool()`; per-input results aggregate in
+/// index order, so the explanation is bitwise identical for any pool size
+/// (DESIGN.md §7). Each extra worker still runs on its own `model.clone()`.
+/// Inference is const, so the clones are not needed for safety; they stay
+/// until ROADMAP item 1's harness fix lets their removal be measured.
+Explanation explain_batched(const AguaModel& model,
                             const std::vector<std::vector<double>>& embeddings,
                             std::size_t output_class = static_cast<std::size_t>(-1));
 
@@ -81,7 +103,7 @@ struct BatchExplainResult {
 /// aggregate is bitwise identical to explain_batched's. Fault site:
 /// `explain.single` (throw mode exercises the isolation path).
 BatchExplainResult explain_batched_isolated(
-    AguaModel& model, const std::vector<std::vector<double>>& embeddings,
+    const AguaModel& model, const std::vector<std::vector<double>>& embeddings,
     std::size_t output_class = static_cast<std::size_t>(-1));
 
 /// Per-slot result of a fault-isolated fan-out that keeps every slot's
@@ -100,7 +122,7 @@ struct EachExplainResult {
 /// Same isolation, instrumentation (`agua.explain.batch` span,
 /// `agua.explain.slot_errors`), clone-per-worker and index-order guarantees
 /// as explain_batched_isolated — which is now a thin aggregation over this.
-EachExplainResult explain_each_isolated(AguaModel& model,
+EachExplainResult explain_each_isolated(const AguaModel& model,
                                         const std::vector<std::vector<double>>& embeddings,
                                         const std::vector<std::size_t>& output_classes);
 

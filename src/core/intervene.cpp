@@ -23,7 +23,7 @@ std::vector<double> apply_overrides(const std::vector<double>& concept_probs,
 
 }  // namespace
 
-InterventionResult intervene(AguaModel& model, const std::vector<double>& embedding,
+InterventionResult intervene(const AguaModel& model, const std::vector<double>& embedding,
                              const std::vector<Intervention>& interventions) {
   InterventionResult result;
   const std::vector<double> z = model.concept_probs(embedding);
@@ -56,7 +56,7 @@ std::string InterventionResult::format(const concepts::ConceptSet& concept_set,
   return os.str();
 }
 
-std::optional<Intervention> find_flip(AguaModel& model,
+std::optional<Intervention> find_flip(const AguaModel& model,
                                       const std::vector<double>& embedding,
                                       std::size_t target_class) {
   const std::vector<double> z = model.concept_probs(embedding);

@@ -33,13 +33,13 @@ struct InterventionResult {
 };
 
 /// Apply the interventions to δθ(h(x)) and re-run Ω.
-InterventionResult intervene(AguaModel& model, const std::vector<double>& embedding,
+InterventionResult intervene(const AguaModel& model, const std::vector<double>& embedding,
                              const std::vector<Intervention>& interventions);
 
 /// Search for the single-concept intervention that flips the surrogate's
 /// decision to `target_class` with the highest resulting target probability;
 /// std::nullopt if no single concept override achieves the flip.
-std::optional<Intervention> find_flip(AguaModel& model,
+std::optional<Intervention> find_flip(const AguaModel& model,
                                       const std::vector<double>& embedding,
                                       std::size_t target_class);
 

@@ -15,8 +15,8 @@ ConceptLabeler::ConceptLabeler(concepts::ConceptSet concept_set, text::TextEmbed
       embedder_(std::move(embedder)),
       quantizer_(std::move(quantizer)) {}
 
-void ConceptLabeler::fit(const std::vector<std::string>& descriptions,
-                         bool calibrate_quantizer) {
+std::vector<std::vector<double>> ConceptLabeler::fit(
+    const std::vector<std::string>& descriptions, bool calibrate_quantizer) {
   obs::TraceSpan span("agua.labeler.fit");
   std::vector<std::string> corpus = descriptions;
   for (const auto& textual : concepts_.embedding_texts()) corpus.push_back(textual);
@@ -26,21 +26,30 @@ void ConceptLabeler::fit(const std::vector<std::string>& descriptions,
   for (const auto& textual : concepts_.embedding_texts()) {
     concept_embeddings_.push_back(embedder_.embed(textual));
   }
+  // Embeddings (and, for calibration, similarity vectors) are independent
+  // const computations per description; fan them out, writing each slot by
+  // index.
+  const bool calibrate = calibrate_quantizer && !descriptions.empty();
+  std::vector<std::vector<double>> embeddings(descriptions.size());
+  std::vector<std::vector<double>> description_sims(calibrate ? descriptions.size() : 0);
+  if (!descriptions.empty()) {
+    obs::parallel_for(common::default_pool(), "agua.pool.labeler_fit", descriptions.size(),
+                      [&](std::size_t i, std::size_t) {
+                        embeddings[i] = embed(descriptions[i]);
+                        if (calibrate) {
+                          description_sims[i] = similarities_from_embedding(embeddings[i]);
+                        }
+                      });
+  }
   per_concept_quantizers_.clear();
-  if (calibrate_quantizer && !descriptions.empty()) {
+  if (calibrate) {
     // Replace the fixed cosine bins with *per-concept* corpus percentiles so
     // that every concept's similarity spans all k classes regardless of the
     // embedding family's cosine range (hashed n-gram cosines sit lower than
-    // dense-model cosines and vary with concept text length).
-    // Per-description similarity vectors are independent const computations;
-    // fan them out, then scatter into per-concept columns in index order.
-    const std::vector<std::vector<double>> sims_per_description =
-        obs::parallel_map(common::default_pool(), "agua.pool.labeler_fit",
-                          descriptions.size(), [&](std::size_t i) {
-                            return similarities(descriptions[i]);
-                          });
+    // dense-model cosines and vary with concept text length). Scatter the
+    // similarity vectors into per-concept columns in index order.
     std::vector<std::vector<double>> sims_per_concept(concepts_.size());
-    for (const auto& sims : sims_per_description) {
+    for (const auto& sims : description_sims) {
       for (std::size_t c = 0; c < sims.size(); ++c) {
         sims_per_concept[c].push_back(sims[c]);
       }
@@ -62,6 +71,7 @@ void ConceptLabeler::fit(const std::vector<std::string>& descriptions,
           increasing ? text::SimilarityQuantizer(std::move(thresholds)) : quantizer_);
     }
   }
+  return embeddings;
 }
 
 std::vector<double> ConceptLabeler::embed(const std::string& description) const {

@@ -24,7 +24,12 @@ class ConceptLabeler {
   /// concept's similarity spans all k classes — hashed-n-gram cosine scales
   /// vary with concept text length, so a single absolute bin set would pin
   /// most concepts to one class (see DESIGN.md deviations).
-  void fit(const std::vector<std::string>& descriptions, bool calibrate_quantizer);
+  ///
+  /// Returns every description's embedding under the fitted embedder, in
+  /// order: fit embeds each description once, and callers reuse the result
+  /// instead of embedding it again.
+  std::vector<std::vector<double>> fit(const std::vector<std::string>& descriptions,
+                                       bool calibrate_quantizer);
 
   /// Embedding of an input description.
   std::vector<double> embed(const std::string& description) const;

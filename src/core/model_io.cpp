@@ -98,7 +98,7 @@ const char* load_error_name(LoadErrorCode code) {
   return "unknown";
 }
 
-void save_model(common::BinaryWriter& w, AguaModel& model) {
+void save_model(common::BinaryWriter& w, const AguaModel& model) {
   common::write_archive_header(w, kModelVersion);
   write_framed(w, kSectionConceptSet,
                [&](common::BinaryWriter& bw) { save_concept_set(bw, model.concept_set()); });
@@ -175,7 +175,7 @@ std::optional<AguaModel> load_model(common::BinaryReader& r) {
   return std::move(result.model);
 }
 
-bool save_model_file(const std::string& path, AguaModel& model) {
+bool save_model_file(const std::string& path, const AguaModel& model) {
   std::ostringstream buffer;
   common::BinaryWriter w(buffer);
   save_model(w, model);
@@ -199,7 +199,7 @@ std::optional<AguaModel> load_model_file(const std::string& path) {
   return std::move(result.model);
 }
 
-std::string model_fingerprint(AguaModel& model) {
+std::string model_fingerprint(const AguaModel& model) {
   std::ostringstream buffer;
   common::BinaryWriter w(buffer);
   save_model(w, model);

@@ -49,9 +49,8 @@ struct LoadModelResult {
   explicit operator bool() const { return model.has_value(); }
 };
 
-/// Serialize a model (concept set + δθ + Ω) into an archive. Non-const
-/// because the mapping accessors are non-const; the model is not modified.
-void save_model(common::BinaryWriter& w, AguaModel& model);
+/// Serialize a model (concept set + δθ + Ω) into an archive.
+void save_model(common::BinaryWriter& w, const AguaModel& model);
 
 /// Read a model back with a typed diagnosis on failure. Never throws and
 /// never crashes on corrupt input (fuzzed in test_model_io.cpp); rejects
@@ -67,7 +66,7 @@ std::optional<AguaModel> load_model(common::BinaryReader& r);
 /// file is removed and an existing `path` is left untouched.
 /// Fault sites: `model_io.save.open`, `model_io.save.write` (short-write →
 /// torn tmp, never a torn checkpoint), `model_io.save.rename`.
-bool save_model_file(const std::string& path, AguaModel& model);
+bool save_model_file(const std::string& path, const AguaModel& model);
 
 /// File-level typed load. Fault site: `model_io.load.open`.
 LoadModelResult load_model_file_ex(const std::string& path);
@@ -78,8 +77,7 @@ std::optional<AguaModel> load_model_file(const std::string& path);
 /// Stable 16-hex-digit fingerprint of a model's full serialized state
 /// (concept set + δθ + Ω weights, via save_model → FNV-1a 64). Two models
 /// answer explanations identically iff their archives match, so the serving
-/// plane keys its result cache and `/modelz` identity on this. Non-const for
-/// the same reason as save_model; the model is not modified.
-std::string model_fingerprint(AguaModel& model);
+/// plane keys its result cache and `/modelz` identity on this.
+std::string model_fingerprint(const AguaModel& model);
 
 }  // namespace agua::core

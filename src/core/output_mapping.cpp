@@ -165,19 +165,18 @@ double OutputMapping::train(const nn::Matrix& concept_probs, const nn::Matrix& t
   return last_epoch_loss;
 }
 
-std::vector<double> OutputMapping::logits(const std::vector<double>& concept_probs) {
-  return layer_->forward(nn::Matrix::row_vector(concept_probs)).row(0);
+std::vector<double> OutputMapping::logits(const std::vector<double>& concept_probs) const {
+  return layer_->infer(nn::Matrix::row_vector(concept_probs)).row(0);
 }
 
-nn::Matrix OutputMapping::logits_batch(const nn::Matrix& concept_probs) {
-  return layer_->forward(concept_probs);
+nn::Matrix OutputMapping::logits_batch(const nn::Matrix& concept_probs) const {
+  return layer_->infer(concept_probs);
 }
 
 std::vector<double> OutputMapping::class_weights(std::size_t output_class) const {
-  // Linear stores W as (in x out); class i's weights are column i.
-  const nn::Matrix& weights = layer_->weight().value;
-  std::vector<double> out(weights.rows());
-  for (std::size_t r = 0; r < weights.rows(); ++r) out[r] = weights.at(r, output_class);
+  const nn::Matrix& w = weights();
+  std::vector<double> out(w.rows());
+  for (std::size_t r = 0; r < w.rows(); ++r) out[r] = w.at(r, output_class);
   return out;
 }
 
@@ -198,6 +197,11 @@ OutputMapping OutputMapping::load(common::BinaryReader& r) {
   config.num_outputs = r.read_u64();
   config.elastic_alpha = r.read_double();
   common::Rng scratch(0);  // weights are overwritten by load below
+  // The layer is built from these widths before any weight is read.
+  if (!nn::loadable_width(config.concept_dim) || !nn::loadable_width(config.num_outputs)) {
+    r.stream().setstate(std::ios::failbit);
+    return OutputMapping(Config{}, scratch);
+  }
   OutputMapping mapping(config, scratch);
   mapping.layer_->load(r);
   return mapping;

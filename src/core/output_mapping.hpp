@@ -50,12 +50,16 @@ class OutputMapping {
   double train(const nn::Matrix& concept_probs, const nn::Matrix& target_probs,
                common::Rng& rng);
 
-  /// Ω(z): raw logits over the n output classes. Non-const (the layer caches
-  /// its forward input); do not share one instance across threads.
-  std::vector<double> logits(const std::vector<double>& concept_probs);
-  nn::Matrix logits_batch(const nn::Matrix& concept_probs);
+  /// Ω(z): raw logits over the n output classes. Const inference
+  /// (nn::Module::infer), safe to call from several threads at once.
+  std::vector<double> logits(const std::vector<double>& concept_probs) const;
+  nn::Matrix logits_batch(const nn::Matrix& concept_probs) const;
 
-  /// Row i of W (weights of output class i over the C*k concept space).
+  /// W, stored (C*k x n): class i's weights over the concept space are
+  /// column i.
+  const nn::Matrix& weights() const { return layer_->weight().value; }
+  /// Column i of W, copied (weights of output class i over the C*k concept
+  /// space).
   std::vector<double> class_weights(std::size_t output_class) const;
   double class_bias(std::size_t output_class) const;
 
@@ -65,6 +69,8 @@ class OutputMapping {
   double elastic_penalty() const;
 
   void save(common::BinaryWriter& w) const;
+  /// Reads what save() wrote. A width of 0 or above nn::kMaxLoadWidth sets
+  /// the reader's failbit before the layer is built.
   static OutputMapping load(common::BinaryReader& r);
 
  private:

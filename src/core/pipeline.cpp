@@ -115,19 +115,18 @@ AguaArtifacts train_agua(const Dataset& train, const concepts::ConceptSet& conce
     }
     artifacts.labeler = std::make_unique<ConceptLabeler>(
         concept_set, text::TextEmbedder(config.embedder), std::move(quantizer));
-    artifacts.labeler->fit(artifacts.descriptions, config.calibrate_quantizer);
-    // Embedding + similarity tagging are const per-description lookups on the
-    // fitted labeler — fan them out, writing each slot by index.
-    artifacts.description_embeddings.resize(train.size());
+    // fit embeds every description once; stage ③ reuses those embeddings.
+    artifacts.description_embeddings =
+        artifacts.labeler->fit(artifacts.descriptions, config.calibrate_quantizer);
+    // Similarity tagging is a const per-description lookup on the fitted
+    // labeler — fan it out, writing each slot by index.
     artifacts.similarity_levels.resize(train.size());
     obs::parallel_for(common::default_pool(), "agua.pool.embed_label", train.size(),
                       [&](std::size_t i, std::size_t) {
-                        auto embedding = artifacts.labeler->embed(artifacts.descriptions[i]);
-                        auto sims =
-                            artifacts.labeler->similarities_from_embedding(embedding);
-                        artifacts.description_embeddings[i] = std::move(embedding);
-                        artifacts.similarity_levels[i] =
-                            artifacts.labeler->levels_from_similarities(sims);
+                        const ConceptLabeler& labeler = *artifacts.labeler;
+                        artifacts.similarity_levels[i] = labeler.levels_from_similarities(
+                            labeler.similarities_from_embedding(
+                                artifacts.description_embeddings[i]));
                       });
   }
 

@@ -31,12 +31,12 @@ double expected_output(const std::vector<double>& class_probs,
   return acc;
 }
 
-double predict_numeric(AguaModel& model, const std::vector<double>& embedding,
+double predict_numeric(const AguaModel& model, const std::vector<double>& embedding,
                        const std::vector<double>& bins) {
   return expected_output(model.output_probs(embedding), bins);
 }
 
-double regression_fidelity(AguaModel& model, const Dataset& dataset,
+double regression_fidelity(const AguaModel& model, const Dataset& dataset,
                            const std::vector<double>& bins, double tolerance) {
   if (dataset.empty()) return 0.0;
   std::size_t within = 0;

@@ -28,13 +28,13 @@ double expected_output(const std::vector<double>& class_probs,
                        const std::vector<double>& bins);
 
 /// Numeric output of the surrogate for one embedding.
-double predict_numeric(AguaModel& model, const std::vector<double>& embedding,
+double predict_numeric(const AguaModel& model, const std::vector<double>& embedding,
                        const std::vector<double>& bins);
 
 /// Regression fidelity: fraction of samples whose surrogate numeric output is
 /// within `tolerance` of the controller's (the controller's numeric output is
 /// its own distribution dotted with the bins).
-double regression_fidelity(AguaModel& model, const Dataset& dataset,
+double regression_fidelity(const AguaModel& model, const Dataset& dataset,
                            const std::vector<double>& bins, double tolerance);
 
 }  // namespace agua::core

@@ -9,7 +9,7 @@
 
 namespace agua::core {
 
-AguaReport build_report(AguaModel& model, const Dataset& train, const Dataset& test) {
+AguaReport build_report(const AguaModel& model, const Dataset& train, const Dataset& test) {
   AguaReport report;
   report.train_fidelity = fidelity(model, train);
   report.test_fidelity = fidelity(model, test);

@@ -32,6 +32,6 @@ struct AguaReport {
 };
 
 /// Build the report for a trained model over train/test rollout datasets.
-AguaReport build_report(AguaModel& model, const Dataset& train, const Dataset& test);
+AguaReport build_report(const AguaModel& model, const Dataset& train, const Dataset& test);
 
 }  // namespace agua::core

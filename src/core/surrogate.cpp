@@ -10,14 +10,6 @@
 namespace agua::core {
 namespace {
 
-// Resolved once; a forward pass then costs one relaxed atomic increment, so
-// instrumentation stays far under the 2% overhead budget on this hot path.
-obs::Counter& forward_counter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::instance().counter("agua.surrogate.forward");
-  return counter;
-}
-
 // Serving health: every fidelity evaluation folds its per-sample
 // match/mismatch outcomes into a rolling window; the monitor raises an
 // `agua.health.fidelity` event if the rolling match rate drops below the
@@ -37,6 +29,7 @@ obs::HealthMonitor& fidelity_monitor() {
 AguaModel::AguaModel(concepts::ConceptSet concept_set, ConceptMapping concept_mapping,
                      OutputMapping output_mapping)
     : concepts_(std::move(concept_set)),
+      concept_names_(std::make_shared<const std::vector<std::string>>(concepts_.names())),
       concept_mapping_(std::move(concept_mapping)),
       output_mapping_(std::move(output_mapping)) {}
 
@@ -51,20 +44,19 @@ AguaModel AguaModel::clone() const {
   return AguaModel(concepts_, std::move(concept_mapping), std::move(output_mapping));
 }
 
-std::vector<double> AguaModel::logits(const std::vector<double>& embedding) {
-  forward_counter().add(1);
+std::vector<double> AguaModel::logits(const std::vector<double>& embedding) const {
   return output_mapping_.logits(concept_mapping_.concept_probs(embedding));
 }
 
-std::vector<double> AguaModel::output_probs(const std::vector<double>& embedding) {
+std::vector<double> AguaModel::output_probs(const std::vector<double>& embedding) const {
   return common::softmax(logits(embedding));
 }
 
-std::size_t AguaModel::predict_class(const std::vector<double>& embedding) {
+std::size_t AguaModel::predict_class(const std::vector<double>& embedding) const {
   return common::argmax(logits(embedding));
 }
 
-double fidelity(AguaModel& model, const Dataset& dataset) {
+double fidelity(const AguaModel& model, const Dataset& dataset) {
   if (dataset.empty()) return 0.0;
   obs::ScopedTimer timer("agua.surrogate.fidelity");
   obs::HealthMonitor& monitor = fidelity_monitor();

@@ -16,11 +16,15 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, common::Rng& r
   weight_.value.xavier_init(rng);
 }
 
-Matrix Linear::forward(const Matrix& input) {
-  cached_input_ = input;
+Matrix Linear::infer(const Matrix& input) const {
   Matrix out = input.matmul(weight_.value);
   out.add_row_broadcast(bias_.value);
   return out;
+}
+
+Matrix Linear::forward(const Matrix& input) {
+  cached_input_ = input;
+  return infer(input);
 }
 
 Matrix Linear::backward(const Matrix& grad_output) {
@@ -45,11 +49,15 @@ void Linear::load(common::BinaryReader& r) {
   bias_ = Parameter(std::move(bias));
 }
 
-Matrix ReLU::forward(const Matrix& input) {
-  cached_input_ = input;
+Matrix ReLU::infer(const Matrix& input) const {
   Matrix out = input;
   out.apply([](double x) { return x > 0.0 ? x : 0.0; });
   return out;
+}
+
+Matrix ReLU::forward(const Matrix& input) {
+  cached_input_ = input;
+  return infer(input);
 }
 
 Matrix ReLU::backward(const Matrix& grad_output) {
@@ -60,11 +68,15 @@ Matrix ReLU::backward(const Matrix& grad_output) {
   return grad;
 }
 
-Matrix Tanh::forward(const Matrix& input) {
+Matrix Tanh::infer(const Matrix& input) const {
   Matrix out = input;
   out.apply([](double x) { return std::tanh(x); });
-  cached_output_ = out;
   return out;
+}
+
+Matrix Tanh::forward(const Matrix& input) {
+  cached_output_ = infer(input);
+  return cached_output_;
 }
 
 Matrix Tanh::backward(const Matrix& grad_output) {
@@ -79,11 +91,10 @@ Matrix Tanh::backward(const Matrix& grad_output) {
 LayerNorm::LayerNorm(std::size_t features, double epsilon)
     : gamma_(Matrix(1, features, 1.0)), beta_(Matrix(1, features, 0.0)), epsilon_(epsilon) {}
 
-Matrix LayerNorm::forward(const Matrix& input) {
+Matrix LayerNorm::normalize(const Matrix& input, Matrix* normalized,
+                           std::vector<double>* inv_stds) const {
   const std::size_t n = input.cols();
   Matrix out(input.rows(), n);
-  cached_normalized_ = Matrix(input.rows(), n);
-  cached_inv_std_.assign(input.rows(), 0.0);
   for (std::size_t r = 0; r < input.rows(); ++r) {
     const double* x = input.row_data(r);
     double mean = 0.0;
@@ -93,15 +104,26 @@ Matrix LayerNorm::forward(const Matrix& input) {
     for (std::size_t j = 0; j < n; ++j) var += (x[j] - mean) * (x[j] - mean);
     var /= static_cast<double>(n);
     const double inv_std = 1.0 / std::sqrt(var + epsilon_);
-    cached_inv_std_[r] = inv_std;
-    double* norm = cached_normalized_.row_data(r);
+    if (inv_stds != nullptr) (*inv_stds)[r] = inv_std;
+    double* norm = normalized != nullptr ? normalized->row_data(r) : nullptr;
     double* o = out.row_data(r);
     for (std::size_t j = 0; j < n; ++j) {
-      norm[j] = (x[j] - mean) * inv_std;
-      o[j] = norm[j] * gamma_.value.at(0, j) + beta_.value.at(0, j);
+      const double v = (x[j] - mean) * inv_std;
+      if (norm != nullptr) norm[j] = v;
+      o[j] = v * gamma_.value.at(0, j) + beta_.value.at(0, j);
     }
   }
   return out;
+}
+
+Matrix LayerNorm::infer(const Matrix& input) const {
+  return normalize(input, nullptr, nullptr);
+}
+
+Matrix LayerNorm::forward(const Matrix& input) {
+  cached_normalized_ = Matrix(input.rows(), input.cols());
+  cached_inv_std_.assign(input.rows(), 0.0);
+  return normalize(input, &cached_normalized_, &cached_inv_std_);
 }
 
 Matrix LayerNorm::backward(const Matrix& grad_output) {
@@ -155,6 +177,13 @@ void LayerNorm::load(common::BinaryReader& r) {
 Sequential& Sequential::add(std::unique_ptr<Module> layer) {
   layers_.push_back(std::move(layer));
   return *this;
+}
+
+Matrix Sequential::infer(const Matrix& input) const {
+  if (layers_.empty()) return input;
+  Matrix x = layers_.front()->infer(input);
+  for (std::size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->infer(x);
+  return x;
 }
 
 Matrix Sequential::forward(const Matrix& input) {

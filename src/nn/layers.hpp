@@ -1,11 +1,14 @@
 // Neural-network layers with hand-derived backprop.
 //
-// The Module protocol: forward() caches whatever the layer needs for the
-// gradient pass, backward() consumes the gradient w.r.t. the layer output and
-// returns the gradient w.r.t. its input, accumulating parameter gradients.
-// Call zero_grad() before accumulating a fresh batch.
+// The Module protocol: infer() is the layer's one arithmetic — const, caching
+// nothing, so several threads may run it on one module at once. forward() is
+// infer() plus recording whatever the gradient pass needs, for training only;
+// backward() consumes the gradient w.r.t. the layer output and returns the
+// gradient w.r.t. its input, accumulating parameter gradients. Call
+// zero_grad() before accumulating a fresh batch.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +34,7 @@ class Module {
  public:
   virtual ~Module() = default;
 
+  virtual Matrix infer(const Matrix& input) const = 0;
   virtual Matrix forward(const Matrix& input) = 0;
   virtual Matrix backward(const Matrix& grad_output) = 0;
 
@@ -54,6 +58,7 @@ class Linear : public Module {
  public:
   Linear(std::size_t in_features, std::size_t out_features, common::Rng& rng);
 
+  Matrix infer(const Matrix& input) const override;
   Matrix forward(const Matrix& input) override;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
@@ -77,6 +82,7 @@ class Linear : public Module {
 /// Elementwise rectified linear unit.
 class ReLU : public Module {
  public:
+  Matrix infer(const Matrix& input) const override;
   Matrix forward(const Matrix& input) override;
   Matrix backward(const Matrix& grad_output) override;
   void save(common::BinaryWriter&) const override {}
@@ -90,6 +96,7 @@ class ReLU : public Module {
 /// Elementwise tanh.
 class Tanh : public Module {
  public:
+  Matrix infer(const Matrix& input) const override;
   Matrix forward(const Matrix& input) override;
   Matrix backward(const Matrix& grad_output) override;
   void save(common::BinaryWriter&) const override {}
@@ -105,6 +112,7 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(std::size_t features, double epsilon = 1e-5);
 
+  Matrix infer(const Matrix& input) const override;
   Matrix forward(const Matrix& input) override;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&gamma_, &beta_}; }
@@ -113,6 +121,11 @@ class LayerNorm : public Module {
   std::string name() const override { return "LayerNorm"; }
 
  private:
+  /// The normalization itself; forward() passes the caches to fill, infer()
+  /// passes null.
+  Matrix normalize(const Matrix& input, Matrix* normalized,
+                   std::vector<double>* inv_stds) const;
+
   Parameter gamma_;
   Parameter beta_;
   double epsilon_;
@@ -128,6 +141,7 @@ class Sequential : public Module {
   /// Append a layer; returns *this for chaining.
   Sequential& add(std::unique_ptr<Module> layer);
 
+  Matrix infer(const Matrix& input) const override;
   Matrix forward(const Matrix& input) override;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override;
@@ -141,6 +155,18 @@ class Sequential : public Module {
  private:
   std::vector<std::unique_ptr<Module>> layers_;
 };
+
+/// Widest layer an archive may declare. A loader builds its net from the
+/// archive's widths before it reads any weight, so it checks each width (and
+/// each width product) against this cap first. A 4096 x 4096 layer is
+/// 128 MiB of weights; the default ABR surrogate's widest layer has 112
+/// units (16 concepts x 7 levels).
+inline constexpr std::size_t kMaxLoadWidth = 4096;
+
+/// True if `width` is a layer width a loader may build: 1..kMaxLoadWidth.
+inline bool loadable_width(std::uint64_t width) {
+  return width >= 1 && width <= kMaxLoadWidth;
+}
 
 /// Builds the standard 2-layer MLP used across this codebase:
 /// Linear(in, hidden) -> ReLU -> Linear(hidden, out).

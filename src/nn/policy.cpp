@@ -41,13 +41,12 @@ Matrix PolicyNetwork::normalize_batch(const Matrix& inputs) const {
   return out;
 }
 
-std::vector<double> PolicyNetwork::embedding(const std::vector<double>& input) {
-  const Matrix h = embedding_net_->forward(Matrix::row_vector(normalize(input)));
-  return h.row(0);
+std::vector<double> PolicyNetwork::embedding(const std::vector<double>& input) const {
+  return embedding_net_->infer(Matrix::row_vector(normalize(input))).row(0);
 }
 
-Matrix PolicyNetwork::embedding_batch(const Matrix& inputs) {
-  return embedding_net_->forward(normalize_batch(inputs));
+Matrix PolicyNetwork::embedding_batch(const Matrix& inputs) const {
+  return embedding_net_->infer(normalize_batch(inputs));
 }
 
 Matrix PolicyNetwork::forward_logits(const Matrix& normalized) {
@@ -58,20 +57,20 @@ void PolicyNetwork::backward_logits(const Matrix& grad_logits) {
   embedding_net_->backward(head_->backward(grad_logits));
 }
 
-std::vector<double> PolicyNetwork::logits(const std::vector<double>& input) {
-  return forward_logits(Matrix::row_vector(normalize(input))).row(0);
+std::vector<double> PolicyNetwork::logits(const std::vector<double>& input) const {
+  return head_->infer(embedding_net_->infer(Matrix::row_vector(normalize(input)))).row(0);
 }
 
-std::vector<double> PolicyNetwork::output_probs(const std::vector<double>& input) {
+std::vector<double> PolicyNetwork::output_probs(const std::vector<double>& input) const {
   return common::softmax(logits(input));
 }
 
-std::size_t PolicyNetwork::greedy_action(const std::vector<double>& input) {
+std::size_t PolicyNetwork::greedy_action(const std::vector<double>& input) const {
   return common::argmax(logits(input));
 }
 
 std::size_t PolicyNetwork::sample_action(const std::vector<double>& input,
-                                         common::Rng& rng) {
+                                         common::Rng& rng) const {
   return rng.categorical(output_probs(input));
 }
 

@@ -39,16 +39,16 @@ class PolicyNetwork {
   Matrix normalize_batch(const Matrix& inputs) const;
 
   /// h(x): the controller's embedding of one observation.
-  std::vector<double> embedding(const std::vector<double>& input);
+  std::vector<double> embedding(const std::vector<double>& input) const;
   /// h(x) for a batch (rows).
-  Matrix embedding_batch(const Matrix& inputs);
+  Matrix embedding_batch(const Matrix& inputs) const;
 
   /// Output logits / probabilities for one observation.
-  std::vector<double> logits(const std::vector<double>& input);
-  std::vector<double> output_probs(const std::vector<double>& input);
+  std::vector<double> logits(const std::vector<double>& input) const;
+  std::vector<double> output_probs(const std::vector<double>& input) const;
 
-  std::size_t greedy_action(const std::vector<double>& input);
-  std::size_t sample_action(const std::vector<double>& input, common::Rng& rng);
+  std::size_t greedy_action(const std::vector<double>& input) const;
+  std::size_t sample_action(const std::vector<double>& input, common::Rng& rng) const;
 
   /// One supervised epoch over shuffled mini-batches; returns mean loss.
   double train_supervised_epoch(const std::vector<std::vector<double>>& inputs,

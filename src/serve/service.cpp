@@ -593,8 +593,9 @@ void ExplainService::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
       // thread) and the batch it rode in (dispatcher thread).
       span.annotate_trace(pending->trace);
     }
-    // Only this thread ever runs forward passes on the entry's model; a
-    // concurrent /reloadz swaps the shared_ptr but never touches this one.
+    // Only this thread runs forward passes on the entry's model (see the
+    // threading contract in service.hpp); a concurrent /reloadz swaps the
+    // shared_ptr but never touches this one.
     // A throwing fan-out (resource exhaustion, poisoned model) fails the
     // whole batch — each member counts against the circuit breaker.
     core::EachExplainResult each;

@@ -28,10 +28,13 @@
 // hot-swap invalidate the cache for free: old entries simply stop matching.
 //
 // Threading contract: only the dispatcher thread runs forward passes on the
-// installed AguaModel instance (forward passes cache activations; see
-// AguaModel::clone), so the shared_ptr swap needs no model-level locking —
-// handlers read entry metadata only, and an in-flight batch keeps its entry
-// alive through its own shared_ptr.
+// installed AguaModel instance, and the shared_ptr swap needs no model-level
+// locking — handlers read entry metadata only, and an in-flight batch keeps
+// its entry alive through its own shared_ptr. Inference is const
+// (nn::Module::infer), so the dispatcher-only rule and the per-worker clones
+// of explain_each_isolated are no longer needed for safety. They stay until
+// ROADMAP item 1's harness fix lets their removal be measured: removing them
+// raised serve_mixed's peak RSS, which the harness inflates per request.
 #pragma once
 
 #include <atomic>
@@ -156,7 +159,7 @@ class ExplainService {
 
  private:
   struct ModelEntry {
-    core::AguaModel model;  ///< forward passes run only on the dispatcher thread
+    core::AguaModel model;  ///< forward passes run only on the dispatcher (see above)
     ModelInfo info;
     std::size_t embedding_dim = 0;  ///< expected input width, for validation
   };

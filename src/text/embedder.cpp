@@ -3,6 +3,8 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "common/thread_pool.hpp"
+#include "obs/parallel.hpp"
 #include "obs/trace.hpp"
 #include "text/tokenizer.hpp"
 
@@ -39,12 +41,28 @@ EmbedderConfig closed_source_embedder_config() {
 TextEmbedder::TextEmbedder(EmbedderConfig config) : config_(config) {}
 
 void TextEmbedder::fit(const std::vector<std::string>& corpus) {
-  for (const auto& doc : corpus) {
+  // Each pool worker counts the documents it claims into its own table; the
+  // tables are then summed. The counts are integers, so the result does not
+  // depend on which worker counted what. A nested pool region throws, so a
+  // fit called from inside a pool task counts on its own thread.
+  common::ThreadPool& pool = common::default_pool();
+  const bool nested = common::ThreadPool::in_parallel_region();
+  std::vector<std::unordered_map<std::string, std::size_t>> counts(
+      nested ? 1 : pool.thread_count());
+  auto count_document = [&](std::size_t i, std::size_t worker) {
     std::unordered_set<std::string> seen;
-    for (auto& token : all_tokens(doc)) seen.insert(std::move(token));
-    for (const auto& token : seen) ++document_frequency_[token];
-    ++documents_seen_;
+    for (auto& token : all_tokens(corpus[i])) seen.insert(std::move(token));
+    for (const auto& token : seen) ++counts[worker][token];
+  };
+  if (nested) {
+    for (std::size_t i = 0; i < corpus.size(); ++i) count_document(i, 0);
+  } else {
+    obs::parallel_for(pool, "agua.pool.embedder_fit", corpus.size(), count_document);
   }
+  for (const auto& table : counts) {
+    for (const auto& [token, n] : table) document_frequency_[token] += n;
+  }
+  documents_seen_ += corpus.size();
 }
 
 double TextEmbedder::idf(const std::string& token) const {

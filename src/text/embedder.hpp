@@ -38,7 +38,9 @@ class TextEmbedder {
  public:
   explicit TextEmbedder(EmbedderConfig config = {});
 
-  /// Fit document frequencies over a corpus; enables IDF weighting.
+  /// Fit document frequencies over a corpus; enables IDF weighting. Counts
+  /// over `common::default_pool()`; the table is the same for any pool size,
+  /// and a call from inside a pool task counts serially.
   void fit(const std::vector<std::string>& corpus);
 
   /// Embed a text into an L2-normalized vector of config().dim entries.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "common/stats.hpp"
 
@@ -32,6 +35,50 @@ TEST(Explain, FactualTargetsPredictedClass) {
   const Explanation exp = explain_factual(model, h);
   EXPECT_EQ(exp.output_class, model.predict_class(h));
   EXPECT_EQ(exp.output_class, exp.predicted_class);
+}
+
+// explain_factual takes the class from the same forward it decomposes, so it
+// must equal the counterfactual query for that class in every field.
+TEST(Explain, FactualEqualsForClassOfItsPredictionBitwise) {
+  const AguaModel model = make_model(11);
+  common::Rng rng(12);
+  for (int trial = 0; trial < 16; ++trial) {
+    std::vector<double> h(4);
+    for (double& x : h) x = rng.uniform(-1.0, 1.0);
+    const Explanation factual = explain_factual(model, h);
+    const Explanation counterfactual = explain_for_class(model, h, factual.predicted_class);
+    EXPECT_EQ(factual.output_class, counterfactual.output_class);
+    EXPECT_EQ(factual.predicted_class, counterfactual.predicted_class);
+    EXPECT_EQ(std::memcmp(&factual.output_probability, &counterfactual.output_probability,
+                          sizeof(double)),
+              0);
+    // Vector operator== compares doubles with ==; these also compare bits.
+    auto same_bits = [](const std::vector<double>& a, const std::vector<double>& b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+    };
+    EXPECT_TRUE(same_bits(factual.concept_weights, counterfactual.concept_weights));
+    EXPECT_TRUE(same_bits(factual.raw_contributions, counterfactual.raw_contributions));
+    EXPECT_TRUE(same_bits(factual.signed_concept_contributions,
+                          counterfactual.signed_concept_contributions));
+    EXPECT_EQ(factual.dominant_levels, counterfactual.dominant_levels);
+    ASSERT_EQ(factual.concept_names.size(), counterfactual.concept_names.size());
+    for (std::size_t c = 0; c < factual.concept_names.size(); ++c) {
+      EXPECT_EQ(factual.concept_names[c], counterfactual.concept_names[c]);
+    }
+  }
+}
+
+// Every explanation of a model shares the model's one name list.
+TEST(Explain, ConceptNamesAreTheModelsList) {
+  const AguaModel model = make_model(13);
+  const Explanation exp = explain_factual(model, {0.3, -0.2, 0.5, 0.1});
+  const std::vector<std::string>& names = *model.concept_names();
+  ASSERT_EQ(exp.concept_names.size(), names.size());
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    EXPECT_EQ(&exp.concept_names[c], &names[c]);
+    EXPECT_EQ(names[c], model.concept_set().at(c).name);
+  }
 }
 
 TEST(Explain, WeightsSumToOutputProbability) {

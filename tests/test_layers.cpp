@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -167,6 +170,95 @@ TEST(Layers, ZeroGradClearsAccumulation) {
   EXPECT_GT(layer.weight().grad.abs_sum(), 0.0);
   layer.zero_grad();
   EXPECT_DOUBLE_EQ(layer.weight().grad.abs_sum(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// infer() is each layer's one arithmetic; forward() is infer() plus what
+// backward() needs, so the two must agree to the bit and infer() must leave
+// the training caches alone.
+
+/// Random rows with an exact +0.0 or -0.0 in every third slot: the ReLU kink,
+/// tanh(-0.0) and the products' zero skip all see them.
+Matrix input_with_zeros(std::size_t rows, std::size_t cols, agua::common::Rng& rng) {
+  Matrix m = random_matrix(rows, cols, rng);
+  for (std::size_t i = 0; i < m.size(); i += 3) m.data()[i] = (i / 3) % 2 == 0 ? 0.0 : -0.0;
+  return m;
+}
+
+bool bitwise_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data().data(), b.data().data(), a.size() * sizeof(double)) == 0;
+}
+
+struct LayerCase {
+  const char* name;
+  std::unique_ptr<Module> module;
+};
+
+/// Every layer type, the nets built from them, and PolicyNetwork's topology
+/// (embedding net Linear -> ReLU -> Linear -> Tanh, then a Linear head). All
+/// take 6-wide rows.
+std::vector<LayerCase> every_layer(agua::common::Rng& rng) {
+  std::vector<LayerCase> cases;
+  cases.push_back({"Linear", std::make_unique<Linear>(6, 4, rng)});
+  cases.push_back({"ReLU", std::make_unique<ReLU>()});
+  cases.push_back({"Tanh", std::make_unique<Tanh>()});
+  auto norm = std::make_unique<LayerNorm>(6);
+  for (Parameter* p : norm->parameters()) {
+    for (double& x : p->value.data()) x += rng.uniform(-0.3, 0.3);
+  }
+  cases.push_back({"LayerNorm", std::move(norm)});
+  cases.push_back({"Sequential (make_mlp)", make_mlp(6, 8, 3, rng)});
+  cases.push_back({"concept-mapping net", make_concept_mapping_net(6, 8, 9, rng)});
+  auto policy = std::make_unique<Sequential>();
+  policy->add(std::make_unique<Linear>(6, 8, rng));
+  policy->add(std::make_unique<ReLU>());
+  policy->add(std::make_unique<Linear>(8, 5, rng));
+  policy->add(std::make_unique<Tanh>());
+  policy->add(std::make_unique<Linear>(5, 3, rng));
+  cases.push_back({"policy net", std::move(policy)});
+  return cases;
+}
+
+TEST(Layers, InferEqualsForwardBitwise) {
+  agua::common::Rng rng(10);
+  for (LayerCase& c : every_layer(rng)) {
+    SCOPED_TRACE(c.name);
+    const Matrix input = input_with_zeros(5, 6, rng);
+    const Module& frozen = *c.module;
+    const Matrix inferred = frozen.infer(input);
+    EXPECT_TRUE(bitwise_equal(inferred, c.module->forward(input)));
+    // And a second infer after the forward: forward's caches do not feed it.
+    EXPECT_TRUE(bitwise_equal(inferred, frozen.infer(input)));
+  }
+}
+
+TEST(Layers, InferBetweenForwardAndBackwardLeavesGradientsUnchanged) {
+  agua::common::Rng rng(11);
+  for (LayerCase& c : every_layer(rng)) {
+    SCOPED_TRACE(c.name);
+    Module& module = *c.module;
+    const Matrix input = input_with_zeros(4, 6, rng);
+    const Matrix other = input_with_zeros(7, 6, rng);  // another shape, too
+    const Matrix out = module.forward(input);
+    const Matrix grad_out = random_matrix(out.rows(), out.cols(), rng);
+
+    module.zero_grad();
+    module.forward(input);
+    const Matrix grad_in = module.backward(grad_out);
+    std::vector<Matrix> grads;
+    for (Parameter* p : module.parameters()) grads.push_back(p->grad);
+
+    module.zero_grad();
+    module.forward(input);
+    module.infer(other);
+    EXPECT_TRUE(bitwise_equal(grad_in, module.backward(grad_out)));
+    const std::vector<Parameter*> params = module.parameters();
+    ASSERT_EQ(params.size(), grads.size());
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_TRUE(bitwise_equal(grads[i], params[i]->grad)) << "parameter " << i;
+    }
+  }
 }
 
 }  // namespace

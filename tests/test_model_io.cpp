@@ -7,6 +7,8 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "nn/layers.hpp"
 
@@ -263,6 +265,51 @@ TEST(ModelIo, RejectsOverflowingMatrixShape) {
                                    w.write_doubles({});
                                    nn::Matrix(1, 4).save(w);
                                  })));
+}
+
+// Loaders build their nets from the archive's widths before reading any
+// weight. A width of 2^40 used to throw std::bad_alloc out of load_model_ex;
+// every width must now lie in 1..nn::kMaxLoadWidth, C*k included.
+TEST(ModelIo, RejectsConceptMappingWidthsOutsideTheCap) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  constexpr std::uint64_t kCap = nn::kMaxLoadWidth;
+  common::Rng rng(9);
+  const auto net = nn::make_concept_mapping_net(6, 64, 24, rng);
+  // {H, C, k, hidden}; make_model's are {6, 8, 3, 64}.
+  const std::vector<std::vector<std::uint64_t>> bad_dims = {
+      {kHuge, 8, 3, 64},
+      {6, kHuge, 3, 64},
+      {6, 8, kHuge, 64},
+      {6, 8, 3, kHuge},
+      {6, kCap, kCap, 64},  // each at the cap, C*k = 2^24 above it
+      {6, std::uint64_t{1} << 33, std::uint64_t{1} << 31, 64},  // C*k wraps to 0
+      {6, 8, 0, 64},
+      {0, 8, 3, 64},
+  };
+  for (const auto& dims : bad_dims) {
+    std::ostringstream os;
+    common::BinaryWriter w(os);
+    for (std::uint64_t dim : dims) w.write_u64(dim);
+    net->save(w);
+    SCOPED_TRACE(::testing::PrintToString(dims));
+    expect_structural(with_section(model_archive(), kConceptMappingSection, os.str()));
+  }
+}
+
+TEST(ModelIo, RejectsOutputMappingWidthsOutsideTheCap) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  for (const auto& [in, out] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+           {kHuge, 4}, {24, kHuge}, {24, nn::kMaxLoadWidth + 1}, {24, 0}}) {
+    std::ostringstream os;
+    common::BinaryWriter w(os);
+    w.write_u64(in);
+    w.write_u64(out);
+    w.write_double(0.95);
+    nn::Matrix(24, 4).save(w);
+    nn::Matrix(1, 4).save(w);
+    SCOPED_TRACE(std::to_string(in) + " -> " + std::to_string(out));
+    expect_structural(with_section(model_archive(), kOutputMappingSection, os.str()));
+  }
 }
 
 // Fuzz-style corruption sweep: load_model must never crash and must return a

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <latch>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -258,6 +261,72 @@ TEST(ParallelDeterminism, ExplainBatchedIsBitwiseReproducible) {
   EXPECT_EQ(serial.raw_contributions, parallel.raw_contributions);
   EXPECT_EQ(serial.signed_concept_contributions, parallel.signed_concept_contributions);
   EXPECT_EQ(serial.dominant_levels, parallel.dominant_levels);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_explanation(const core::Explanation& a, const core::Explanation& b) {
+  return a.output_class == b.output_class && a.predicted_class == b.predicted_class &&
+         std::memcmp(&a.output_probability, &b.output_probability, sizeof(double)) == 0 &&
+         same_bits(a.concept_weights, b.concept_weights) &&
+         same_bits(a.raw_contributions, b.raw_contributions) &&
+         same_bits(a.signed_concept_contributions, b.signed_concept_contributions) &&
+         a.dominant_levels == b.dominant_levels;
+}
+
+// Inference is const (nn::Module::infer caches nothing), so threads may share
+// one model with no clones: four threads explain the same inputs on one
+// `const AguaModel&` at once and must match a serial run bitwise. Under the
+// tsan preset this is also the race check for the shared inference path.
+TEST(ParallelDeterminism, SharedConstModelExplainsFromFourThreadsWithoutClones) {
+  common::set_default_thread_count(1);
+  double loss = 0.0;
+  core::ConceptMapping mapping = train_concept_mapping(&loss);
+  core::OutputMapping output = train_output_mapping(&loss);
+  const concepts::ConceptSet concept_set(
+      "test", {{"latency", "high round-trip delay"},
+               {"loss", "packets dropped in flight"},
+               {"throughput", "sustained delivery rate"}});
+  const core::AguaModel model(concept_set, std::move(mapping), std::move(output));
+
+  common::Rng rng(401);
+  std::vector<std::vector<double>> embeddings(64);
+  for (auto& e : embeddings) {
+    e.resize(6);
+    for (double& x : e) x = rng.uniform(-1.0, 1.0);
+  }
+  auto explain_all = [&](const core::AguaModel& shared) {
+    std::vector<core::Explanation> out;
+    for (const auto& e : embeddings) {
+      out.push_back(core::explain_factual(shared, e));
+      for (std::size_t c = 0; c < shared.num_outputs(); ++c) {
+        out.push_back(core::explain_for_class(shared, e, c));
+      }
+    }
+    return out;
+  };
+  const std::vector<core::Explanation> serial = explain_all(model);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<core::Explanation>> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();  // all four explain at once
+      results[t] = explain_all(model);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(same_explanation(results[t][i], serial[i])) << "thread " << t << " item " << i;
+    }
+  }
 }
 
 }  // namespace

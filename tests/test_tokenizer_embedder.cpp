@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "common/thread_pool.hpp"
 #include "text/embedder.hpp"
 #include "text/tokenizer.hpp"
 
@@ -112,6 +117,43 @@ TEST(Embedder, DeterministicAcrossInstances) {
 TEST(Embedder, CosineHandlesMismatchedOrZero) {
   EXPECT_DOUBLE_EQ(cosine_similarity({1.0, 2.0}, {1.0}), 0.0);
   EXPECT_DOUBLE_EQ(cosine_similarity({0.0, 0.0}, {1.0, 0.0}), 0.0);
+}
+
+// fit counts document frequencies per pool worker and sums the tables. The
+// counts are integers, so the IDF weights, and every embedding, must be the
+// same for any pool size and when fit runs inside a pool task (where a nested
+// region would throw, so it counts serially).
+TEST(Embedder, FitIsTheSameForAnyPoolSizeAndInsideAPoolTask) {
+  std::vector<std::string> corpus;
+  const char* const words[] = {"buffer", "stall", "throughput", "bitrate", "drop", "steady"};
+  for (std::size_t i = 0; i < 300; ++i) {
+    corpus.push_back(std::string(words[i % 6]) + " " + words[(i * 7) % 6] + " level " +
+                     std::to_string(i % 13) + (i % 5 == 0 ? " rising sharply" : " flat"));
+  }
+  auto fitted = [&] {
+    TextEmbedder embedder;
+    embedder.fit(corpus);
+    return embedder;
+  };
+  agua::common::set_default_thread_count(1);
+  const TextEmbedder serial = fitted();
+  agua::common::set_default_thread_count(4);
+  const TextEmbedder parallel = fitted();
+  TextEmbedder nested;
+  agua::common::ThreadPool outer(2);
+  outer.parallel_for(1, [&](std::size_t, std::size_t) { nested.fit(corpus); });
+  agua::common::set_default_thread_count(1);
+
+  const std::vector<const TextEmbedder*> others = {&parallel, &nested};
+  for (const char* probe : {"buffer stall rising sharply", "steady bitrate level 4", "novel"}) {
+    const std::vector<double> expected = serial.embed(probe);
+    for (const TextEmbedder* other : others) {
+      const std::vector<double> got = other->embed(probe);
+      ASSERT_EQ(got.size(), expected.size());
+      EXPECT_EQ(std::memcmp(got.data(), expected.data(), got.size() * sizeof(double)), 0)
+          << probe;
+    }
+  }
 }
 
 }  // namespace
