@@ -50,7 +50,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  obs::TelemetryServer telemetry({.port = port});
+  obs::TelemetryOptions telemetry_options;
+  telemetry_options.port = port;
+  obs::TelemetryServer telemetry(telemetry_options);
   if (serve) {
     obs::event_log().set_enabled(true);  // make /eventsz live
     if (!telemetry.start()) {

@@ -337,9 +337,10 @@ void report_telemetry_scrape(const TelemetryScrapeStats& stats) {
 /// ExplainService::explain_http directly so the cache speedup — the ISSUE 8
 /// acceptance number, budget >= 10x — is not drowned in loopback-socket
 /// noise; the e2e numbers add the HTTP transport back for context. Cold is
-/// measured at the default serving configuration (500 us batch linger, which
-/// a lone request pays in full) and with linger disabled (the pure dispatch
-/// + explain cost).
+/// measured at the default serving configuration and with linger disabled
+/// (the pure dispatch + explain cost). The requests here come one at a time,
+/// and the dispatcher lingers only while another request is in flight, so
+/// the two read alike.
 struct ServeStats {
   double cold_ns = 0.0;           ///< handler-level miss, default config
   double cold_nolinger_ns = 0.0;  ///< handler-level miss, batch_linger_us = 0
@@ -387,7 +388,7 @@ double measure_serve_cold(serve::ExplainService& service, int iters, int repeats
 ServeStats measure_serve() {
   ServeStats stats;
   {
-    serve::ExplainService service;  // default config: batch 16, linger 500 us
+    serve::ExplainService service;  // default config: batch 16, linger cap 500 us
     service.install_model(make_model(), "bench");
     service.start();
     stats.cold_ns = measure_serve_cold(service, 30, 3, 0);
@@ -402,7 +403,10 @@ ServeStats measure_serve() {
     });
   }
   {
-    serve::ExplainService service({.max_batch = 16, .batch_linger_us = 0});
+    serve::ExplainServiceOptions options;
+    options.max_batch = 16;
+    options.batch_linger_us = 0;
+    serve::ExplainService service(options);
     service.install_model(make_model(), "bench");
     service.start();
     stats.cold_nolinger_ns = measure_serve_cold(service, 100, 3, 10000);

@@ -70,9 +70,9 @@ constexpr const char* kUsage =
     "  --serve-max-batch N      micro-batcher: close a batch at N coalesced\n"
     "                    requests (default 16)\n"
     "  --serve-batch-linger-us USEC\n"
-    "                    micro-batcher: linger up to USEC microseconds for\n"
-    "                    more requests before explaining (default 500;\n"
-    "                    0 = no coalescing)\n"
+    "                    micro-batcher: while other cache misses are in\n"
+    "                    flight, linger up to USEC microseconds for them\n"
+    "                    before explaining (default 500; 0 = no coalescing)\n"
     "  --serve-cache N   explanation result-cache capacity in entries\n"
     "                    (default 1024; 0 disables caching)\n"
     "  --serve-linger SECONDS   keep serving for up to SECONDS after the run\n"

@@ -30,12 +30,22 @@
 # section, then let the flood stop and assert recovery. `bench` runs the
 # repository benchmark's own test (perfbench/test_perfbench.py): every
 # workload once at 2 s in both trace modes plus the repeatability checks;
-# `python3 perfbench/run.py` is the benchmark itself.
+# `python3 perfbench/run.py` is the benchmark itself. `bench-diff REF`
+# compares REF with the work tree on the benchmark, alternating runs
+# (scripts/bench_diff.py --help). `portable` builds the golden pins and the
+# kernel tests at -O3 -march=native in build-portable/ and requires them to
+# pass: explanations must not depend on how the code is built (DESIGN.md §7).
 #
-#   scripts/check.sh [default|asan|tsan|obs|serve|trace|faults|overload|docs|bench] [-j N]
+#   scripts/check.sh [default|asan|tsan|obs|serve|trace|faults|overload|docs|bench|portable] [-j N]
+#   scripts/check.sh bench-diff REF [bench_diff.py options]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = "bench-diff" ]; then
+  shift
+  exec python3 scripts/bench_diff.py "$@"
+fi
 
 preset="default"
 jobs="$(nproc 2>/dev/null || echo 2)"
@@ -50,8 +60,9 @@ while [ $# -gt 0 ]; do
     overload) mode="overload" ;;
     docs) mode="docs" ;;
     bench) mode="bench" ;;
+    portable) mode="portable" ;;
     -j) jobs="$2"; shift ;;
-    *) echo "usage: $0 [default|asan|tsan|obs|serve|trace|faults|overload|docs|bench] [-j N]" >&2; exit 2 ;;
+    *) echo "usage: $0 [default|asan|tsan|obs|serve|trace|faults|overload|docs|bench|portable] [-j N] | bench-diff REF [options]" >&2; exit 2 ;;
   esac
   shift
 done
@@ -59,6 +70,17 @@ done
 if [ "$mode" = "bench" ]; then
   # The benchmark builds its own tree (.bench_build/perfbench) from src/.
   python3 perfbench/test_perfbench.py
+  exit 0
+fi
+
+if [ "$mode" = "portable" ]; then
+  # FMA units and all: -ffp-contract=off (src/CMakeLists.txt) must keep every
+  # golden pin, and test_tensor must find no fused multiply-add. GCC's -O3
+  # warnings include libstdc++ false positives, so they do not stop this build.
+  cmake -S . -B build-portable -DCMAKE_COMPILE_WARNING_AS_ERROR=OFF \
+    -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS="-march=native"
+  cmake --build build-portable -j "$jobs" --target test_golden test_tensor
+  ctest --test-dir build-portable -j "$jobs" -R '^(Golden|Tensor)\.' --output-on-failure
   exit 0
 fi
 
@@ -177,19 +199,23 @@ raw1 = open(exp1_path, "rb").read()
 raw2 = open(exp2_path, "rb").read()
 assert raw1 == raw2, "repeated /explain bodies are not byte-identical"
 exp = json.loads(raw1)
-for key in ("fingerprint", "generation", "predicted_class",
+for key in ("fingerprint", "predicted_class",
             "output_probability", "top", "concept_weights"):
     assert key in exp, f"/explain body missing {key}: {sorted(exp)}"
+assert "generation" not in exp, "the body must not carry the install generation"
 assert exp["top"] and all("concept" in t and "weight" in t for t in exp["top"]), exp["top"]
-def cache_state(path):
+def header(path, name):
     for line in open(path):
-        if line.lower().startswith("x-agua-cache:"):
+        if line.lower().startswith(name + ":"):
             return line.split(":", 1)[1].strip()
     return None
-assert cache_state(h1_path) == "miss", f"first request: {cache_state(h1_path)!r}"
-assert cache_state(h2_path) == "hit", f"repeat request: {cache_state(h2_path)!r}"
+assert header(h1_path, "x-agua-cache") == "miss", f"first request: {header(h1_path, 'x-agua-cache')!r}"
+assert header(h2_path, "x-agua-cache") == "hit", f"repeat request: {header(h2_path, 'x-agua-cache')!r}"
 modelz = json.load(open(modelz_path))
 assert modelz["fingerprint"] == exp["fingerprint"], (modelz, exp["fingerprint"])
+for path in (h1_path, h2_path):
+    assert header(path, "x-agua-generation") == str(modelz["generation"]), \
+        (header(path, "x-agua-generation"), modelz["generation"])
 assert modelz["cache"]["hits"] >= 1, modelz["cache"]
 print(f"explain smoke OK: fingerprint {exp['fingerprint']}, "
       f"{len(exp['top'])} top concepts, cache miss->hit byte-identical")
@@ -369,14 +395,13 @@ if [ "$mode" = "overload" ]; then
     rm -rf "$out"
   }
   trap cleanup EXIT
-  # --serve-max-batch 2 + a 5 ms linger means a lone cold request waits the
-  # full linger — a guaranteed miss of the deliberately absurd 1 ms objective
-  # below. Cache hits bypass the batch queue, so repeats stay fast: that is
-  # the recovery traffic. The hook appends "start|end /explain FAST SLOW"
-  # lines to hook.log via the shell.
+  # The injected 5 ms delay in the batch path makes every cold request miss
+  # the deliberately absurd 1 ms objective below. Cache hits bypass the
+  # batch, so repeats stay fast: that is the recovery traffic. The hook
+  # appends "start|end /explain FAST SLOW" lines to hook.log via the shell.
   ./build/examples/agua_cli abr --tiny --threads 2 \
     --serve 0 --serve-linger 60 \
-    --serve-max-batch 2 --serve-batch-linger-us 5000 \
+    --faults 'serve.batch=delay:5' \
     --rate-limit 2:2 \
     --slo '/explain=1ms:99' --slo-hook "echo >>$out/hook.log" \
     > "$out/cli.log" 2>&1 &

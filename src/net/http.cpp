@@ -15,8 +15,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <future>
-#include <memory>
+#include <exception>
 
 #include "common/fault.hpp"
 
@@ -503,7 +502,6 @@ HttpServerStats HttpServer::stats() const {
   HttpServerStats s;
   s.requests = requests_served_.load(std::memory_order_relaxed);
   s.request_timeouts = request_timeouts_.load(std::memory_order_relaxed);
-  s.handler_timeouts = handler_timeouts_.load(std::memory_order_relaxed);
   s.accept_retries = accept_retries_.load(std::memory_order_relaxed);
   s.write_errors = write_errors_.load(std::memory_order_relaxed);
   s.rejected = rejected_.load(std::memory_order_relaxed);
@@ -512,31 +510,8 @@ HttpServerStats HttpServer::stats() const {
 }
 
 HttpResponse HttpServer::run_handler(const Handler& handler, const HttpRequest& request) {
-  if (options_.handler_deadline_ms <= 0) {
-    try {
-      return handler(request);
-    } catch (const std::exception& e) {
-      return HttpResponse::text(500, std::string("handler error: ") + e.what() + "\n");
-    } catch (...) {
-      return HttpResponse::text(500, "handler error\n");
-    }
-  }
-  // Deadline mode: the handler runs on a helper thread holding copies of the
-  // handler and request, so a timed-out handler can finish (and be thrown
-  // away) after this connection has already been answered 503.
-  auto task = std::make_shared<std::packaged_task<HttpResponse()>>(
-      [handler, request] { return handler(request); });
-  std::future<HttpResponse> result = task->get_future();
-  std::thread([task] { (*task)(); }).detach();
-  if (result.wait_for(std::chrono::milliseconds(options_.handler_deadline_ms)) !=
-      std::future_status::ready) {
-    handler_timeouts_.fetch_add(1, std::memory_order_relaxed);
-    HttpResponse timeout = HttpResponse::text(503, "handler deadline exceeded\n");
-    timeout.extra_headers.emplace_back("Retry-After", "1");
-    return timeout;
-  }
   try {
-    return result.get();
+    return handler(request);
   } catch (const std::exception& e) {
     return HttpResponse::text(500, std::string("handler error: ") + e.what() + "\n");
   } catch (...) {

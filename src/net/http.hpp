@@ -20,9 +20,9 @@
 //
 // Layering: net sits directly above common (like obs) and is
 // observability-free; the instrumented telemetry handlers live one layer up
-// in src/obs. Handlers run on server-owned threads, so anything they touch
-// must be thread-safe against the rest of the process — the obs layer's
-// snapshot API (obs/snapshot.hpp) exists exactly for that.
+// in src/obs. Handlers run inline, with no deadline, on the server thread
+// that read the request, so anything they touch must be thread-safe against
+// the rest of the process (obs/snapshot.hpp exists exactly for that).
 #pragma once
 
 #include <atomic>
@@ -136,12 +136,6 @@ struct HttpServerOptions {
   /// would pin the accept loop forever; this deadline is measured from
   /// accept and answers 408 when it expires, however chatty the client.
   int request_deadline_ms = 5000;
-  /// Per-request handler budget; 0 (default) runs handlers inline with no
-  /// deadline. When positive, the handler runs on a helper thread and an
-  /// overrun answers 503 — the stuck handler's eventual result is discarded
-  /// (its thread is left to finish in the background), so handlers must not
-  /// hold locks the server thread needs.
-  int handler_deadline_ms = 0;
 };
 
 /// Counter snapshot for self-reporting (/healthz) and tests. `degraded` is
@@ -150,7 +144,6 @@ struct HttpServerOptions {
 struct HttpServerStats {
   std::uint64_t requests = 0;          ///< responses written (any status)
   std::uint64_t request_timeouts = 0;  ///< 408s (slow request heads)
-  std::uint64_t handler_timeouts = 0;  ///< 503s (handler deadline overruns)
   std::uint64_t accept_retries = 0;    ///< backoff rounds in the accept loop
   std::uint64_t write_errors = 0;      ///< responses that failed to send
   std::uint64_t rejected = 0;          ///< 503s from a full connection queue
@@ -211,7 +204,6 @@ class HttpServer {
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_served_{0};
   std::atomic<std::uint64_t> request_timeouts_{0};
-  std::atomic<std::uint64_t> handler_timeouts_{0};
   std::atomic<std::uint64_t> accept_retries_{0};
   std::atomic<std::uint64_t> write_errors_{0};
   std::atomic<std::uint64_t> rejected_{0};

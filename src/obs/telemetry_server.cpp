@@ -46,7 +46,6 @@ std::string monitors_json(const std::vector<HealthMonitorSnapshot>& monitors,
   std::ostringstream os;
   os << "{\"status\":\"" << status << "\",\"server\":{\"requests\":" << server.requests
      << ",\"request_timeouts\":" << server.request_timeouts
-     << ",\"handler_timeouts\":" << server.handler_timeouts
      << ",\"accept_retries\":" << server.accept_retries
      << ",\"write_errors\":" << server.write_errors
      << ",\"rejected\":" << server.rejected
@@ -110,8 +109,7 @@ TelemetryServer::TelemetryServer(TelemetryOptions options)
       server_(net::HttpServer::Options{.bind_address = options_.bind_address,
                                        .port = options_.port,
                                        .connection_threads = options_.connection_threads,
-                                       .request_deadline_ms = options_.request_deadline_ms,
-                                       .handler_deadline_ms = options_.handler_deadline_ms}) {
+                                       .request_deadline_ms = options_.request_deadline_ms}) {
   // Any fault fired anywhere in the process should be visible on /metrics
   // and /eventsz; the bridge is idempotent and cheap when faults are off.
   install_fault_telemetry();
@@ -324,8 +322,7 @@ std::string TelemetryServer::render_statusz() {
   const net::HttpServerStats server_stats = server_.stats();
   os << "== server ==\n"
      << "requests " << server_stats.requests << ", request_timeouts "
-     << server_stats.request_timeouts << ", handler_timeouts "
-     << server_stats.handler_timeouts << ", rejected " << server_stats.rejected
+     << server_stats.request_timeouts << ", rejected " << server_stats.rejected
      << ", write_errors " << server_stats.write_errors << ", degraded "
      << (server_stats.degraded ? "yes" : "no") << "\n\n";
 

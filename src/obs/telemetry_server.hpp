@@ -46,11 +46,9 @@ struct TelemetryOptions {
   /// Absolute budget for receiving a request head (net/http request deadline;
   /// slow/idle clients are answered 408). The telemetry plane serves one
   /// connection at a time, so a stuck read would otherwise block every
-  /// scrape.
+  /// scrape. Handlers get no deadline: each runs on the thread that read its
+  /// request, and /explain enforces its own (408).
   int request_deadline_ms = 2000;
-  /// Per-request handler budget (503 on overrun). Costs one short-lived
-  /// helper thread per request — fine for a cold scrape path. 0 disables.
-  int handler_deadline_ms = 2000;
   /// Connection workers for the underlying net::HttpServer. The default (1)
   /// keeps the classic serve-one-at-a-time telemetry plane; the explanation
   /// serving plane raises this so requests can be in flight concurrently

@@ -1,10 +1,13 @@
 #include "serve/service.hpp"
 
+#include <sys/stat.h>
+
 #include <cmath>
 #include <cstring>
 #include <sstream>
 #include <utility>
 
+#include "common/fault.hpp"
 #include "core/explain.hpp"
 #include "obs/events.hpp"
 #include "obs/json.hpp"
@@ -44,13 +47,13 @@ const char* level_label(std::size_t level) {
 /// Rendered /explain body. Every value is either an integer or a %.17g
 /// double (json_number), so identical explanations render byte-identically —
 /// the invariant the result cache's "repeated request → same bytes"
-/// guarantee rests on.
-std::string render_explanation(const core::Explanation& exp, const ModelInfo& info,
+/// guarantee rests on. The body depends only on the model's fingerprint and
+/// the request; the install generation travels in X-Agua-Generation.
+std::string render_explanation(const core::Explanation& exp, const std::string& fingerprint,
                                std::size_t top_k) {
   std::ostringstream os;
-  os << "{\"fingerprint\":\"" << json_escape(info.fingerprint)
-     << "\",\"generation\":" << info.generation
-     << ",\"output_class\":" << exp.output_class
+  os << "{\"fingerprint\":\"" << json_escape(fingerprint)
+     << "\",\"output_class\":" << exp.output_class
      << ",\"predicted_class\":" << exp.predicted_class
      << ",\"output_probability\":" << json_number(exp.output_probability)
      << ",\"top\":[";
@@ -76,6 +79,22 @@ std::string render_explanation(const core::Explanation& exp, const ModelInfo& in
   os << "]}\n";
   return os.str();
 }
+
+/// A 200 /explain answer: the body plus its cache and generation headers.
+net::HttpResponse explanation_response(std::string body, const char* cache,
+                                       std::uint64_t generation) {
+  net::HttpResponse response = net::HttpResponse::json(200, std::move(body));
+  response.extra_headers.emplace_back("X-Agua-Cache", cache);
+  response.extra_headers.emplace_back("X-Agua-Generation", std::to_string(generation));
+  return response;
+}
+
+/// Counts one admitted /explain miss in flight for the guard's lifetime.
+struct InFlightGuard {
+  explicit InFlightGuard(std::atomic<std::size_t>& c) : count(c) { ++count; }
+  ~InFlightGuard() { --count; }
+  std::atomic<std::size_t>& count;
+};
 
 }  // namespace
 
@@ -323,9 +342,10 @@ net::HttpResponse ExplainService::handle_explain_inner(const net::HttpRequest& r
   const int tier = overload_.brownout_tier();
   if (tier >= 1) top_k = overload_.effective_top_k(top_k);
 
-  // Cache key: exact bytes of everything the rendered body depends on. The
-  // fingerprint-free suffix is kept separate so a brownout can re-probe the
-  // cache under the pre-swap model's fingerprint.
+  // Cache key: the model fingerprint plus this suffix, the exact bytes of
+  // everything else the rendered body depends on. The suffix is kept apart
+  // so a brownout can re-probe under the pre-swap model's fingerprint, and
+  // so the batch can key its result under the model that rendered it.
   std::string suffix;
   suffix.reserve(32 + embedding.size() * sizeof(double));
   suffix += '\x1f';
@@ -335,13 +355,12 @@ net::HttpResponse ExplainService::handle_explain_inner(const net::HttpRequest& r
   suffix += '\x1f';
   suffix.append(reinterpret_cast<const char*>(embedding.data()),
                 embedding.size() * sizeof(double));
-  std::string key = entry->info.fingerprint + suffix;
 
   std::string cached_body;
-  if (cache_.get(key, cached_body)) {
+  if (cache_.get(entry->info.fingerprint + suffix, cached_body)) {
     metrics.counter("agua.serve.cache.hits").add(1);
-    net::HttpResponse response = net::HttpResponse::json(200, std::move(cached_body));
-    response.extra_headers.emplace_back("X-Agua-Cache", "hit");
+    net::HttpResponse response =
+        explanation_response(std::move(cached_body), "hit", entry->info.generation);
     if (tier >= 1) {
       response.extra_headers.emplace_back("X-Agua-Degraded",
                                           "brownout-tier" + std::to_string(tier));
@@ -352,6 +371,8 @@ net::HttpResponse ExplainService::handle_explain_inner(const net::HttpRequest& r
       cache_.get(previous_fingerprint + suffix, cached_body)) {
     // Degraded mode: an answer rendered by the pre-swap model is slightly
     // stale but well-formed, and serving it sheds a whole fan-out of work.
+    // Its generation is unknown (the pre-swap model may have been installed
+    // more than once), so it carries no X-Agua-Generation.
     metrics.counter("agua.serve.cache.hits").add(1);
     metrics.counter("agua.overload.stale_served").add(1);
     net::HttpResponse response = net::HttpResponse::json(200, std::move(cached_body));
@@ -379,11 +400,15 @@ net::HttpResponse ExplainService::handle_explain_inner(const net::HttpRequest& r
     return std::move(*open);
   }
 
+  // From here until its answer this request may join a lingering batch, so
+  // the dispatcher counts it (hits and refusals never do).
+  const InFlightGuard in_flight(in_flight_);
+  if (enqueue_hook_) enqueue_hook_();
   auto pending = std::make_shared<Pending>();
   pending->embedding = std::move(embedding);
   pending->output_class = output_class;
   pending->top_k = top_k;
-  pending->cache_key = std::move(key);
+  pending->cache_suffix = std::move(suffix);
   pending->trace = trace;
   pending->enqueued = std::chrono::steady_clock::now();
   pending->deadline =
@@ -472,6 +497,12 @@ net::HttpResponse ExplainService::handle_reloadz(const net::HttpRequest& request
     return error_response(400, "bad_request",
                           "no \"path\" given and no default model path configured");
   }
+  // The load runs on the connection worker, which opening a FIFO or device
+  // could block for good; a missing path falls through to the loader's 404.
+  struct stat st {};
+  if (::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    return error_response(400, "bad_request", "\"path\" is not a regular file");
+  }
   core::LoadModelResult loaded = core::load_model_file_ex(path);
   if (!loaded) {
     obs::MetricsRegistry::instance().counter("agua.serve.reload_failures").add(1);
@@ -491,27 +522,29 @@ net::HttpResponse ExplainService::handle_reloadz(const net::HttpRequest& request
 void ExplainService::dispatcher_loop() {
   while (true) {
     std::vector<std::shared_ptr<Pending>> batch;
-    {
-      std::unique_lock<std::mutex> lock(queue_mutex_);
-      queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-      if (stop_) return;  // stop() flushes what's left
+    // Moves the queue's front into the batch (queue_mutex_ held), feeding
+    // CoDel its sojourn: a standing backlog is what turns shedding on.
+    const auto take_front = [&] {
+      const auto now = std::chrono::steady_clock::now();
+      overload_.on_dequeue(steady_us(now) - steady_us(queue_.front()->enqueued),
+                           steady_us(now));
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
       obs::MetricsRegistry::instance().gauge("agua.overload.queue_depth")
           .set(static_cast<double>(queue_.size()));
-    }
+    };
     {
-      // Feed CoDel the sojourn (admission → dequeue) of everything dequeued;
-      // a standing backlog here is what turns admission shedding on.
-      const auto now = std::chrono::steady_clock::now();
-      overload_.on_dequeue(steady_us(now) - steady_us(batch.front()->enqueued),
-                           steady_us(now));
+      std::unique_lock<std::mutex> lock(queue_mutex_);
+      queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
+      if (stop_) return;  // stop() flushes what's left
+      take_front();
     }
     if (collect_hook_) collect_hook_();
-    bool deadline_close = false;
     if (batch.size() < options_.max_batch) {
       // Linger: trade a bounded sliver of latency for coalescing whatever
-      // arrives in the window into one pool fan-out.
+      // arrives in the window into one pool fan-out, but only while another
+      // admitted miss is in flight that may still join (re-checked on every
+      // wake; a miss refused at a full queue does not wake this wait).
       std::unique_lock<std::mutex> lock(queue_mutex_);
       auto linger_end = std::chrono::steady_clock::now() +
                         std::chrono::microseconds(options_.batch_linger_us);
@@ -519,42 +552,27 @@ void ExplainService::dispatcher_loop() {
       // member's deadline — close early, leaving margin for the fan-out, so
       // a would-be 408 becomes a served response.
       const std::int64_t margin_us = options_.overload.deadline_margin_us;
+      bool margin_end = false;
       if (margin_us > 0) {
         const auto latest = batch.front()->deadline - std::chrono::microseconds(margin_us);
         if (latest < linger_end) {
           linger_end = latest;
-          deadline_close = true;
+          margin_end = true;
         }
       }
+      bool expired = false;
       while (batch.size() < options_.max_batch && !stop_) {
         if (!queue_.empty()) {
-          const auto now = std::chrono::steady_clock::now();
-          overload_.on_dequeue(steady_us(now) - steady_us(queue_.front()->enqueued),
-                               steady_us(now));
-          batch.push_back(std::move(queue_.front()));
-          queue_.pop_front();
-          obs::MetricsRegistry::instance().gauge("agua.overload.queue_depth")
-              .set(static_cast<double>(queue_.size()));
+          take_front();
           continue;
         }
-        if (options_.batch_linger_us <= 0) break;
-        if (queue_cv_.wait_until(lock, linger_end) == std::cv_status::timeout) {
-          // Drain arrivals that raced the timeout, then close the batch.
-          while (!queue_.empty() && batch.size() < options_.max_batch) {
-            const auto now = std::chrono::steady_clock::now();
-            overload_.on_dequeue(steady_us(now) - steady_us(queue_.front()->enqueued),
-                                 steady_us(now));
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-          }
-          obs::MetricsRegistry::instance().gauge("agua.overload.queue_depth")
-              .set(static_cast<double>(queue_.size()));
-          break;
-        }
+        // Arrivals that raced the linger's end were drained just above.
+        if (expired || options_.batch_linger_us <= 0 || in_flight_ <= batch.size()) break;
+        expired = queue_cv_.wait_until(lock, linger_end) == std::cv_status::timeout;
       }
-    }
-    if (deadline_close) {
-      obs::MetricsRegistry::instance().counter("agua.overload.deadline_close").add(1);
+      if (expired && margin_end) {  // the margin's end, not the cap, closed it
+        obs::MetricsRegistry::instance().counter("agua.overload.deadline_close").add(1);
+      }
     }
     run_batch(batch);
   }
@@ -573,6 +591,7 @@ void ExplainService::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
     return;
   }
   if (batch_hook_) batch_hook_(batch.size());
+  common::fault::delay_point("serve.batch");
 
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::instance();
   std::vector<net::HttpResponse> responses(batch.size());
@@ -637,14 +656,15 @@ void ExplainService::run_batch(std::vector<std::shared_ptr<Pending>>& batch) {
                                         message);
           continue;
         }
-        std::string body = render_explanation(each.slots[i], entry->info, pending.top_k);
+        std::string body =
+            render_explanation(each.slots[i], entry->info.fingerprint, pending.top_k);
         // Cache even when the requester already gave up (408): the work is done,
-        // the next identical request should hit.
-        if (cache_.put(pending.cache_key, body)) {
+        // the next identical request should hit. Key by the model that
+        // rendered the body: a swap may have landed since admission.
+        if (cache_.put(entry->info.fingerprint + pending.cache_suffix, body)) {
           metrics.counter("agua.serve.cache.evictions").add(1);
         }
-        responses[i] = net::HttpResponse::json(200, std::move(body));
-        responses[i].extra_headers.emplace_back("X-Agua-Cache", "miss");
+        responses[i] = explanation_response(std::move(body), "miss", entry->info.generation);
       }
     }
   }

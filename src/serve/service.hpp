@@ -11,21 +11,21 @@
 //                   batches finish on the model they started with)
 //
 // Shape of the data path: connection workers parse + validate requests and
-// push them into a bounded admission queue; a single dispatcher thread pops,
-// lingers briefly to coalesce more arrivals (micro-batching), snapshots the
-// current model once per batch, and runs core::explain_each_isolated — one
-// pool fan-out per coalesced batch instead of one per request. Each request
-// then gets its own rendered slot back through a promise. Per-request
-// degradation reuses the net-layer status grammar: queue full → 503,
-// deadline expired while queued/batched → 408, no model installed → 503.
+// push misses into a bounded admission queue; a single dispatcher thread
+// pops, lingers for more arrivals only while other admitted misses are in
+// flight (a lone miss is explained at once), snapshots the current model
+// once per batch, and runs core::explain_each_isolated — one pool fan-out
+// per coalesced batch. Each request then gets its own rendered slot back.
+// Per-request degradation reuses the net-layer status grammar: queue full →
+// 503, deadline expired while queued/batched → 408, no model installed → 503.
 //
 // Caching: rendered responses are stored in a sharded LRU keyed by
 // (model fingerprint, request kind/target class, raw input bytes). A hit is
 // served directly on the connection worker — byte-identical body, no queue,
 // no model touch — and announced via the `X-Agua-Cache: hit|miss` response
-// header (the body carries no cache state, by design: repeated identical
-// requests must compare equal byte-for-byte). Fingerprint keying makes a
-// hot-swap invalidate the cache for free: old entries simply stop matching.
+// header; the body is a pure function of (fingerprint, request), so repeats
+// compare equal byte-for-byte, and the generation rides `X-Agua-Generation`.
+// Fingerprint keying makes a hot-swap invalidate the cache for free.
 //
 // Threading contract: only the dispatcher thread runs forward passes on the
 // installed AguaModel instance, and the shared_ptr swap needs no model-level
@@ -60,10 +60,10 @@
 namespace agua::serve {
 
 struct ExplainServiceOptions {
-  /// Micro-batcher: a batch closes at `max_batch` requests or after
-  /// `batch_linger_us` microseconds of lingering past the first request,
-  /// whichever comes first. linger 0 disables coalescing (each request is
-  /// its own batch — the latency-over-throughput setting).
+  /// Micro-batcher: a batch closes at `max_batch` requests, once no other
+  /// admitted miss is in flight to join it, or after `batch_linger_us`
+  /// microseconds past the first request, whichever comes first. linger 0
+  /// disables coalescing (each request is its own batch).
   std::size_t max_batch = 16;
   std::int64_t batch_linger_us = 500;
   /// Admission queue bound; arrivals beyond it are answered 503 immediately.
@@ -151,6 +151,9 @@ class ExplainService {
   /// Runs on the dispatcher right after it pops the first request of a
   /// batch, before lingering. Tests block here to force coalescing.
   void set_collect_hook(std::function<void()> hook) { collect_hook_ = std::move(hook); }
+  /// Runs on the connection worker once an admitted miss counts as in
+  /// flight, before its enqueue. Tests block here to hold a batch lingering.
+  void set_enqueue_hook(std::function<void()> hook) { enqueue_hook_ = std::move(hook); }
   /// Runs after the batch is closed and the model entry snapshotted, before
   /// the explain call. Tests hot-swap or stall here.
   void set_batch_hook(std::function<void(std::size_t batch_size)> hook) {
@@ -169,7 +172,7 @@ class ExplainService {
     std::vector<double> embedding;
     std::size_t output_class = static_cast<std::size_t>(-1);  ///< npos = factual
     std::size_t top_k = 5;
-    std::string cache_key;
+    std::string cache_suffix;  ///< cache key minus the model fingerprint
     obs::TraceId trace;  ///< requester's trace id; the batch span indexes under it
     std::chrono::steady_clock::time_point enqueued;  ///< admission time (sojourn basis)
     std::chrono::steady_clock::time_point deadline;
@@ -204,10 +207,12 @@ class ExplainService {
   std::condition_variable queue_cv_;
   std::deque<std::shared_ptr<Pending>> queue_;  // guarded by queue_mutex_
   bool stop_ = false;                           // guarded by queue_mutex_
+  std::atomic<std::size_t> in_flight_{0};  ///< admitted misses not yet answered
   std::thread dispatcher_;
   std::atomic<bool> mounted_{false};
 
   std::function<void()> collect_hook_;
+  std::function<void()> enqueue_hook_;
   std::function<void(std::size_t)> batch_hook_;
 };
 

@@ -33,6 +33,7 @@
 #include "obs/events.hpp"
 #include "obs/fault_telemetry.hpp"
 #include "obs/metrics.hpp"
+#include "serve/service.hpp"
 
 namespace {
 
@@ -63,6 +64,7 @@ using FaultTrain = FaultTestBase;
 using FaultCheckpoint = FaultTestBase;
 using FaultExplain = FaultTestBase;
 using FaultNet = FaultTestBase;
+using FaultServe = FaultTestBase;
 
 // ---------------------------------------------------------------------------
 // Registry → obs bridge. Runs first in this file: install_fault_telemetry()
@@ -667,6 +669,29 @@ TEST_F(FaultNet, FailedResponseWriteIsCountedNotFatal) {
   const net::HttpServerStats stats = server.stats();
   EXPECT_EQ(stats.write_errors, 1u);
   EXPECT_GE(stats.requests, 2u);
+}
+
+// A delay in the serving batch path slows exactly the requests that need a
+// batch: cache hits never enter one. The overload smoke drives its SLO burn
+// this way.
+TEST_F(FaultServe, InjectedBatchDelayIsPaidOnlyByMisses) {
+  serve::ExplainService service;
+  service.install_model(make_model(19), "fault");
+  service.start();
+  ASSERT_TRUE(fault::configure("serve.batch=delay:100"));
+  net::HttpRequest request;
+  request.method = "POST";
+  request.path = "/explain";
+  request.body = R"({"input": [0.1, -0.4, 0.7, 0.2, 0.5, -0.3]})";
+  const auto timed = [&] {
+    const auto begin = std::chrono::steady_clock::now();
+    const net::HttpResponse response = service.explain_http(request);
+    EXPECT_EQ(response.status, 200) << response.body;
+    return std::chrono::steady_clock::now() - begin;
+  };
+  EXPECT_GE(timed(), std::chrono::milliseconds(100));  // the miss rides a batch
+  EXPECT_LT(timed(), std::chrono::milliseconds(100));  // the hit does not
+  service.stop();
 }
 
 }  // namespace

@@ -63,7 +63,9 @@ TEST(OverloadEnvelope, ShapeAndRetryAfterCeiling) {
 TEST(OverloadEnvelope, RetryAfterRoundsUpToOneSecond) {
   const net::HttpResponse r = error_response(429, "rate_limited", "slow down", 1);
   for (const auto& [name, value] : r.extra_headers) {
-    if (name == "Retry-After") EXPECT_EQ(value, "1");
+    if (name == "Retry-After") {
+      EXPECT_EQ(value, "1");
+    }
   }
   ASSERT_EQ(r.extra_headers.size(), 1u);
 }
@@ -387,9 +389,11 @@ class OverloadServeTest : public ::testing::Test {
   }
 
   void start(ExplainServiceOptions options = {}, bool with_model = true,
-             std::function<void()> collect_hook = {}) {
+             std::function<void()> collect_hook = {},
+             std::function<void()> enqueue_hook = {}) {
     service_ = std::make_unique<ExplainService>(options);
     if (collect_hook) service_->set_collect_hook(std::move(collect_hook));
+    if (enqueue_hook) service_->set_enqueue_hook(std::move(enqueue_hook));
     if (with_model) {
       service_->set_rows({{0.1, -0.4, 0.7, 0.2}, {0.3, 0.1, -0.2, 0.9}});
       service_->install_model(make_model(), "test");
@@ -633,12 +637,39 @@ TEST_F(OverloadServeTest, DeadlineAwareBatchCloseBeatsThe408) {
   options.batch_linger_us = 2'000'000;          // far beyond the deadline
   options.request_deadline_ms = 400;
   options.overload.deadline_margin_us = 300'000;  // close ~100 ms in
-  start(options);
+  // The first miss is held just before its enqueue, so it stays in flight
+  // and the second one's batch keeps lingering for it.
+  std::mutex mutex;
+  std::condition_variable cv;
+  int misses = 0;  // guarded by mutex
+  bool release = false;
+  start(options, true, {}, [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    if (++misses > 1) return;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  });
+  auto held = std::async(std::launch::async, [&] { return post_explain(R"({"row": 1})"); });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return misses == 1; });
+  }
   // Without the margin this request would linger 2 s and 408 at 400 ms; the
   // deadline-aware close fires at deadline - margin instead.
+  const auto begin = std::chrono::steady_clock::now();
   const net::HttpClientResponse response = post_explain(kBody);
+  const auto waited = std::chrono::steady_clock::now() - begin;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
   EXPECT_EQ(response.status, 200) << response.body;
-  EXPECT_GE(counter_value("agua.overload.deadline_close"), 1.0);
+  EXPECT_GE(waited, std::chrono::milliseconds(50));  // it lingered toward the margin
+  EXPECT_EQ(counter_value("agua.overload.deadline_close"), 1.0);
+  // Released, the held miss is alone: answered at once, no margin close.
+  EXPECT_EQ(held.get().status, 200);
+  EXPECT_EQ(counter_value("agua.overload.deadline_close"), 1.0);
 }
 
 TEST_F(OverloadServeTest, EnvelopeOnEveryErrorPath) {
@@ -679,25 +710,6 @@ TEST_F(OverloadServeTest, StatuszRendersTheOverloadSection) {
 
 // ---------------------------------------------------------------------------
 // Net layer: Retry-After on server-side sheds
-
-TEST(HttpServerOverloadHeaders, HandlerDeadline503CarriesRetryAfter) {
-  net::HttpServerOptions options;
-  options.handler_deadline_ms = 50;
-  net::HttpServer server(options);
-  server.handle("GET", "/slow", [](const net::HttpRequest&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
-    net::HttpResponse response;
-    response.body = "late";
-    return response;
-  });
-  ASSERT_TRUE(server.start()) << server.last_error();
-  net::HttpClientResponse response;
-  ASSERT_TRUE(net::http_get("127.0.0.1", server.port(), "/slow", response));
-  EXPECT_EQ(response.status, 503);
-  EXPECT_EQ(response.header("retry-after"), "1");
-  EXPECT_FALSE(response.header("x-agua-trace-id").empty());
-  server.stop();
-}
 
 TEST(HttpServerOverloadHeaders, ConnectionQueueShedCarriesRetryAfter) {
   net::HttpServerOptions options;

@@ -1,10 +1,15 @@
 // Loopback tests for the explanation serving plane (src/serve): the JSON
 // reader, the sharded LRU cache, and ExplainService mounted on a real
-// net::HttpServer — single and coalesced requests, cache hit vs miss with
-// byte-identical bodies, deadline expiry → 408, model hot-swap during an
-// in-flight batch, and the 400/404/503 error grammar. Fixture names start
+// net::HttpServer — single and coalesced requests, no linger for a lone
+// request, cache hit vs miss with byte-identical bodies, deadline expiry →
+// 408, model hot-swap during an in-flight batch, the generation header
+// across reinstalls, and the 400/404/503 error grammar. Fixture names start
 // with Serve/HttpServer so the tsan preset picks the whole file up.
 #include "serve/service.hpp"
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -382,6 +387,20 @@ TEST_F(ServeTest, CoalescesConcurrentRequestsIntoOneBatch) {
             1u);
 }
 
+TEST_F(ServeTest, LoneRequestIsNotLingered) {
+  // The dispatcher lingers only while another /explain is in flight, so a
+  // lone request is explained at once, however long the linger cap.
+  ExplainServiceOptions options;
+  options.batch_linger_us = 1'000'000;
+  start(options);
+  const auto begin = std::chrono::steady_clock::now();
+  const net::HttpClientResponse response =
+      post_explain(R"({"input": [0.1, -0.4, 0.7, 0.2]})");
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  EXPECT_EQ(response.status, 200) << response.body;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(250));
+}
+
 TEST_F(ServeTest, DeadlineExpiryAnswers408) {
   ExplainServiceOptions options;
   options.request_deadline_ms = 50;
@@ -429,7 +448,59 @@ TEST_F(ServeTest, HotSwapDuringInFlightBatchFinishesOnOldModel) {
   const JsonParseResult parsed_after = json_parse(after.body);
   ASSERT_TRUE(parsed_after.ok);
   EXPECT_NE(parsed_after.value.find("fingerprint")->string, first.fingerprint);
-  EXPECT_DOUBLE_EQ(parsed_after.value.find("generation")->number, 2.0);
+  EXPECT_EQ(after.header("x-agua-generation"), "2");
+}
+
+TEST_F(ServeTest, SwapBeforeTheBatchCachesUnderTheModelThatRendered) {
+  // A swap between a request's admission and its batch's model snapshot
+  // explains the request on the new model. Its result must be cached under
+  // that model's fingerprint, not under the one the request was admitted on.
+  std::atomic<bool> swapped{false};
+  service_ = std::make_unique<ExplainService>();
+  const ModelInfo a = service_->install_model(make_model(1), "A");
+  service_->set_collect_hook([&] {
+    if (!swapped.exchange(true)) service_->install_model(make_model(2), "B");
+  });
+  server_ = std::make_unique<net::HttpServer>();
+  service_->mount(*server_);
+  ASSERT_TRUE(server_->start());
+
+  const std::string body = R"({"input": [0.1, -0.4, 0.7, 0.2]})";
+  const net::HttpClientResponse on_b = post_explain(body);
+  ASSERT_EQ(on_b.status, 200);
+  EXPECT_EQ(on_b.header("x-agua-generation"), "2");
+  const JsonParseResult parsed_b = json_parse(on_b.body);
+  ASSERT_TRUE(parsed_b.ok);
+  EXPECT_NE(parsed_b.value.find("fingerprint")->string, a.fingerprint);
+
+  service_->install_model(make_model(1), "A again");
+  const net::HttpClientResponse on_a = post_explain(body);
+  ASSERT_EQ(on_a.status, 200);
+  EXPECT_EQ(on_a.header("x-agua-cache"), "miss");
+  EXPECT_EQ(on_a.header("x-agua-generation"), "3");
+  const JsonParseResult parsed_a = json_parse(on_a.body);
+  ASSERT_TRUE(parsed_a.ok);
+  EXPECT_EQ(parsed_a.value.find("fingerprint")->string, a.fingerprint);
+}
+
+TEST_F(ServeTest, CacheHitAfterReinstallCarriesCurrentGeneration) {
+  // A cached body is a pure function of (fingerprint, request); the
+  // generation that serves it travels in X-Agua-Generation. After installs
+  // A, B, A the entry cached under A's first install (generation 1) hits
+  // again, and must report generation 3.
+  start();
+  const std::string body = R"({"input": [0.1, -0.4, 0.7, 0.2]})";
+  const net::HttpClientResponse miss = post_explain(body);
+  ASSERT_EQ(miss.status, 200);
+  EXPECT_EQ(miss.header("x-agua-cache"), "miss");
+  EXPECT_EQ(miss.header("x-agua-generation"), "1");
+  service_->install_model(make_model(2), "B");
+  service_->install_model(make_model(), "A again");
+  const net::HttpClientResponse hit = post_explain(body);
+  ASSERT_EQ(hit.status, 200);
+  EXPECT_EQ(hit.header("x-agua-cache"), "hit");
+  EXPECT_EQ(hit.header("x-agua-generation"), "3");
+  EXPECT_EQ(hit.body, miss.body);
 }
 
 TEST_F(ServeTest, ReloadzSwapsFromArchiveAndBumpsGeneration) {
@@ -469,6 +540,29 @@ TEST_F(ServeTest, ReloadzMissingFileAnswers404) {
   ASSERT_NE(envelope, nullptr);
   EXPECT_EQ(envelope->find("code")->string, "io_error");
   EXPECT_TRUE(envelope->find("message")->is_string());
+}
+
+TEST_F(ServeTest, ReloadzRejectsAPathThatIsNotARegularFile) {
+  start();
+  // Opening a FIFO for reading blocks until a writer appears: loaded on the
+  // connection worker, it would pin that worker for good.
+  const std::string fifo = ::testing::TempDir() + "serve_reload_fifo";
+  std::remove(fifo.c_str());
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  net::HttpClientResponse response;
+  const bool answered = net::http_post("127.0.0.1", server_->port(), "/reloadz",
+                                       "{\"path\": \"" + fifo + "\"}", response, 2000);
+  // Release a worker blocked in open() (a writer appears and leaves), so a
+  // failure here cannot hang the server's shutdown.
+  const int writer = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+  if (writer >= 0) ::close(writer);
+  std::remove(fifo.c_str());
+  ASSERT_TRUE(answered);
+  EXPECT_EQ(response.status, 400) << response.body;
+  const JsonParseResult parsed = json_parse(response.body);
+  ASSERT_TRUE(parsed.ok);
+  EXPECT_EQ(parsed.value.find("error")->find("code")->string, "bad_request");
+  EXPECT_EQ(service_->model_info()->generation, 1u);
 }
 
 TEST_F(ServeTest, TracedExplainJoinsSpanIndexBatchSpanAndSlo) {

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -403,27 +404,25 @@ TEST_F(HttpServerTest, SlowRequestHeadGets408NotAHang) {
   EXPECT_EQ(response.status, 200);
 }
 
-TEST_F(HttpServerTest, SlowHandlerGets503) {
-  net::HttpServerOptions options;
-  options.handler_deadline_ms = 100;
-  net::HttpServer server{options};
-  server.handle("GET", "/stuck", [](const net::HttpRequest&) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(600));
-    return net::HttpResponse::text(200, "finally\n");
-  });
-  server.handle("GET", "/fast", [](const net::HttpRequest&) {
+TEST_F(TelemetryTest, HandlersRunOnTheConnectionWorkers) {
+  // Each handler runs on the worker that read its request: 32 sequential
+  // requests over two workers see at most two threads, not one apiece.
+  TelemetryOptions options;
+  options.connection_threads = 2;
+  TelemetryServer server(options);
+  std::mutex ordinals_mutex;
+  std::set<std::uint64_t> ordinals;  // guarded by ordinals_mutex
+  server.http().handle("GET", "/whoami", [&](const net::HttpRequest&) {
+    std::lock_guard<std::mutex> lock(ordinals_mutex);
+    ordinals.insert(thread_ordinal());
     return net::HttpResponse::text(200, "ok\n");
   });
   ASSERT_TRUE(server.start()) << server.last_error();
-
-  net::HttpClientResponse response;
-  ASSERT_TRUE(net::http_get("127.0.0.1", server.port(), "/stuck", response));
-  EXPECT_EQ(response.status, 503);
-  EXPECT_NE(response.body.find("deadline"), std::string::npos);
-  EXPECT_EQ(server.stats().handler_timeouts, 1u);
-
-  ASSERT_TRUE(net::http_get("127.0.0.1", server.port(), "/fast", response));
-  EXPECT_EQ(response.status, 200);
+  for (int i = 0; i < 32; ++i) EXPECT_EQ(get(server, "/whoami").status, 200);
+  server.stop();
+  std::lock_guard<std::mutex> lock(ordinals_mutex);
+  EXPECT_GE(ordinals.size(), 1u);
+  EXPECT_LE(ordinals.size(), 2u);
 }
 
 TEST_F(TelemetryTest, HealthzEmbedsServerResilienceStats) {

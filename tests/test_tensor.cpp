@@ -222,6 +222,29 @@ TEST(Tensor, MatmulTransposeIsBitwiseTheReferenceSum) {
   }
 }
 
+// DESIGN.md §7 rule 4: no kernel may fuse a multiply and an add into an FMA.
+// x * x needs 61 significant bits, so it rounds. A kernel that fuses the
+// second product into the running sum keeps those bits and returns ±2^-60;
+// the sum of rounded products returns zero. The expected value rounds each
+// product through a volatile, which no build can fuse, so the check holds
+// at any -march and does not depend on how the test itself is compiled.
+TEST(Tensor, ProductsNeverFuseMultiplyAndAdd) {
+  const double x = 1.0 + std::ldexp(1.0, -30);
+  volatile double product = x * x;
+  volatile double negated = -x * x;
+  const double expected = product + negated;
+  const Matrix row = Matrix::from_rows({{x, -x}});
+  const Matrix column = Matrix::from_rows({{x}, {x}});
+  const Matrix column_left = Matrix::from_rows({{x}, {-x}});
+  const Matrix row_right = Matrix::from_rows({{x, x}});
+  const double results[] = {row.matmul(column).at(0, 0),
+                            column_left.transpose_matmul(column).at(0, 0),
+                            row.matmul_transpose(row_right).at(0, 0)};
+  for (double got : results) {
+    EXPECT_EQ(std::memcmp(&got, &expected, sizeof got), 0) << got << " != " << expected;
+  }
+}
+
 TEST(Tensor, GatherRows) {
   const Matrix m = Matrix::from_rows({{1.0}, {2.0}, {3.0}});
   const Matrix g = m.gather_rows({2, 0});
